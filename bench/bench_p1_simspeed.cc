@@ -405,28 +405,22 @@ runFig5ElideArm()
 }
 
 /**
- * Arm 6: the superblock threaded-code interpreter (ISSUE 10). The
- * heaviest Fig. 5 point runs three ways — legacy dispatch,
- * --superblocks, and functional-only --fast — timed separately.
- * Deterministic contract (fatal on violation): superblocks leave the
- * cycle count AND instruction count bit-identical to legacy, --fast
- * preserves the instruction count, and the trace engine actually ran
- * (hits > 0). The host rows expose the speedup; perfgate
- * additionally requires the in-run fig5-fast rate to be >= 2x the
- * in-run fig5-memsys rate (a same-host ratio, robust to machine
- * differences).
+ * Arm 6: functional-only --fast mode. The heaviest Fig. 5 point runs
+ * twice — on the timed memory system and with MachineConfig::fastMode
+ * — timed separately. Deterministic contract (fatal on violation):
+ * --fast preserves the instruction count. The host row exposes the
+ * speedup; perfgate additionally requires the in-run fig5-fast rate
+ * to be >= 2x the in-run fig5-memsys rate (a same-host ratio, robust
+ * to machine differences).
  */
-struct SuperblockArm
+struct FastArm
 {
-    ArmResult off;
-    ArmResult on;
+    ArmResult timed;
     ArmResult fast;
-    uint64_t hits = 0;
-    uint64_t installs = 0;
 };
 
-SuperblockArm
-runFig5SuperblockArm()
+FastArm
+runFig5FastArm()
 {
     const std::string src = R"(
         movi r12, 0
@@ -451,13 +445,11 @@ runFig5SuperblockArm()
     if (!assembly.ok)
         sim::fatal("P1: %s", assembly.error.c_str());
 
-    SuperblockArm arm;
-    auto run_once = [&](bool superblocks, bool fast) {
+    auto run_once = [&](bool fast) {
         ArmResult r;
         isa::MachineConfig cfg;
         cfg.mem.cache = gp::bench::mapCache();
         cfg.mem.cache.banks = 4;
-        cfg.superblocks = superblocks;
         cfg.fastMode = fast;
         isa::Machine machine(cfg);
         for (unsigned i = 0; i < 16; ++i) {
@@ -478,33 +470,18 @@ runFig5SuperblockArm()
         r.wallSeconds = secondsSince(t0);
         r.cycles = machine.cycle();
         r.instructions = machine.stats().get("instructions");
-        if (superblocks && !fast) {
-            arm.hits = machine.stats().get("superblock_hits");
-            arm.installs =
-                machine.stats().get("superblock_installs");
-        }
         return r;
     };
 
-    arm.off = run_once(false, false);
-    arm.on = run_once(true, false);
-    arm.fast = run_once(true, true);
+    FastArm arm;
+    arm.timed = run_once(false);
+    arm.fast = run_once(true);
 
-    if (arm.on.cycles != arm.off.cycles ||
-        arm.on.instructions != arm.off.instructions)
-        sim::fatal("P1: superblocks changed simulated behaviour: "
-                   "%llu/%llu cycles, %llu/%llu instructions",
-                   (unsigned long long)arm.off.cycles,
-                   (unsigned long long)arm.on.cycles,
-                   (unsigned long long)arm.off.instructions,
-                   (unsigned long long)arm.on.instructions);
-    if (arm.fast.instructions != arm.off.instructions)
+    if (arm.fast.instructions != arm.timed.instructions)
         sim::fatal("P1: fast mode changed the instruction count: "
                    "%llu -> %llu",
-                   (unsigned long long)arm.off.instructions,
+                   (unsigned long long)arm.timed.instructions,
                    (unsigned long long)arm.fast.instructions);
-    if (arm.hits == 0)
-        sim::fatal("P1: superblock arm never entered a trace");
     return arm;
 }
 
@@ -550,7 +527,7 @@ main(int argc, char **argv)
     const CampaignArm camp = runCampaignArm();
     const ProfiledArm prof = runFig5ProfiledArm();
     const ElideArm elide = runFig5ElideArm();
-    const SuperblockArm sb = runFig5SuperblockArm();
+    const FastArm fast = runFig5FastArm();
 
     // ---- Table 1: deterministic signature (hard CI gate). --------
     // Every cell here is a pure function of the simulator: any drift
@@ -607,19 +584,10 @@ main(int argc, char **argv)
                         (unsigned long long)elide.elided,
                         (unsigned long long)elide.executed)});
     det.addRow(
-        {"fig5-superblock",
-         gp::bench::fmt("%llu", (unsigned long long)sb.on.cycles),
-         gp::bench::fmt("%llu",
-                        (unsigned long long)sb.on.instructions),
-         gp::bench::fmt("off=%llu hits=%llu installs=%llu",
-                        (unsigned long long)sb.off.cycles,
-                        (unsigned long long)sb.hits,
-                        (unsigned long long)sb.installs)});
-    det.addRow(
         {"fig5-fast",
-         gp::bench::fmt("%llu", (unsigned long long)sb.fast.cycles),
+         gp::bench::fmt("%llu", (unsigned long long)fast.fast.cycles),
          gp::bench::fmt("%llu",
-                        (unsigned long long)sb.fast.instructions),
+                        (unsigned long long)fast.fast.instructions),
          "functional-only; timing model bypassed"});
     det.print();
 
@@ -641,9 +609,7 @@ main(int argc, char **argv)
     hostRow("fig5-prof-on", prof.on);
     hostRow("fig5-elide-off", elide.off);
     hostRow("fig5-elide-on", elide.on);
-    hostRow("fig5-sb-off", sb.off);
-    hostRow("fig5-sb-on", sb.on);
-    hostRow("fig5-fast", sb.fast);
+    hostRow("fig5-fast", fast.fast);
     host.addRow({"fault-campaign",
                  gp::bench::fmt("%.1f", camp.wallSeconds * 1e3),
                  gp::bench::fmt("%.1f runs/s",

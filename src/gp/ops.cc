@@ -380,82 +380,6 @@ checkAccess(Word ptr, Access kind, unsigned size_bytes)
 }
 
 Result<Word>
-leaCheckAccess(Word ptr, int64_t delta, Access kind,
-               unsigned size_bytes)
-{
-    if (delta == 0) {
-        // No LEA runs for a zero displacement; this is just the
-        // pre-issue access check on the base pointer.
-        if (Fault f = checkAccess(ptr, kind, size_bytes);
-            f != Fault::None)
-            return Result<Word>::fail(f);
-        return Result<Word>::ok(ptr);
-    }
-
-    // --- LEA half (identical counting/tracing to lea()) ---
-    GP_OP_COUNT(lea);
-    auto dec = decodeMutable(ptr);
-    if (!dec)
-        return Result<Word>::fail(dec.fault);
-
-    const uint64_t old_addr = dec.value.addr();
-    const uint64_t new_addr =
-        (old_addr + static_cast<uint64_t>(delta)) & kAddrMask;
-
-    if (Fault f = boundsCheck(old_addr, new_addr, dec.value.lenLog2());
-        f != Fault::None) {
-        GP_TRACE(Fault, sim::TraceManager::instance().cycle(), 0,
-                 "bounds-violation",
-                 "lea seg=[0x%llx,+0x%llx) perm=%s addr=0x%llx "
-                 "delta=%lld",
-                 (unsigned long long)dec.value.segmentBase(),
-                 (unsigned long long)dec.value.segmentBytes(),
-                 std::string(permName(dec.value.perm())).c_str(),
-                 (unsigned long long)old_addr, (long long)delta);
-        return Result<Word>::fail(countFault(f));
-    }
-    const Word eff = withAddr(ptr, new_addr);
-
-    // --- access-check half, reusing the decode: withAddr() changes
-    // only address bits, so perm/len (and hence rights and segment
-    // size) are those already decoded above. ---
-    GP_OP_COUNT(accessChecks);
-    const PointerView v(eff);
-
-    const uint32_t rights = rightsOf(v.perm());
-    uint32_t needed = 0;
-    switch (kind) {
-      case Access::Load:
-        needed = RightRead;
-        break;
-      case Access::Store:
-        needed = RightWrite;
-        break;
-      case Access::InstFetch:
-        needed = RightExecute;
-        break;
-    }
-    if ((rights & needed) != needed)
-        return Result<Word>::fail(
-            accessFault(Fault::PermissionDenied, kind, v));
-
-    if (size_bytes == 0 || (size_bytes & (size_bytes - 1)) != 0 ||
-        size_bytes > 8) {
-        return Result<Word>::fail(
-            accessFault(Fault::Misaligned, kind, v));
-    }
-    if (v.addr() & (size_bytes - 1))
-        return Result<Word>::fail(
-            accessFault(Fault::Misaligned, kind, v));
-
-    if (v.segmentBytes() < size_bytes)
-        return Result<Word>::fail(
-            accessFault(Fault::BoundsViolation, kind, v));
-
-    return Result<Word>::ok(eff);
-}
-
-Result<Word>
 enterToExecute(Word ptr)
 {
     auto dec = decode(ptr);

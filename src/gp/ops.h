@@ -94,21 +94,6 @@ Result<Word> intToPtr(Word seg_ptr, uint64_t offset);
 Fault checkAccess(Word ptr, Access kind, unsigned size_bytes);
 
 /**
- * Fused LEA + access check for the interpreter's load/store hot path
- * (superblock threaded dispatch): derive ptr + delta and verify the
- * access in one pass over a single permission decode. Fault order,
- * fault kinds, counter bumps, and trace events are identical to the
- * split sequence `lea(ptr, delta)` followed by
- * `checkAccess(result, kind, size_bytes)` — only the redundant second
- * decode is skipped, which is legal because withAddr() preserves every
- * non-address field. delta == 0 degenerates to checkAccess alone
- * (matching the interpreter, which never runs LEA for a zero
- * displacement).
- */
-Result<Word> leaCheckAccess(Word ptr, int64_t delta, Access kind,
-                            unsigned size_bytes);
-
-/**
  * Unchecked fast paths for statically-proven pointer operations
  * (gpsim --elide-checks=verified; see docs/VERIFIER.md "Proof export
  * & check elision"). Each produces a result bit-identical to the

@@ -151,16 +151,6 @@ Machine::initStats()
     elideChecksExecuted_ = &stats_.counter("elide_checks_executed");
     elideCyclesSaved_ = &stats_.counter("elide_cycles_saved");
     predecode_.assign(kPredecodeEntries, PredecodedInst{});
-    if (config_.superblocks) {
-        // Superblock state and counters exist only when the feature
-        // is on: a default-mode machine exposes exactly the counter
-        // set the blessed F6/fig5 signatures were pinned to.
-        superblockHits_ = &stats_.counter("superblock_hits");
-        superblockInstalls_ = &stats_.counter("superblock_installs");
-        superblockFlushes_ = &stats_.counter("superblock_flushes");
-        superblocks_.assign(kSbEntries, Superblock{});
-        sbRecorders_.assign(threads_.size(), SbRecorder{});
-    }
     for (unsigned i = 0; i < kInstClassCount; ++i)
         mix_[i] = &stats_.counter(std::string("mix_") + kClassNames[i]);
     // Per-kind fault counters. Kinds through WatchdogTimeout are
@@ -180,21 +170,6 @@ void
 Machine::flushPredecode()
 {
     predecode_.assign(kPredecodeEntries, PredecodedInst{});
-    flushSuperblocks();
-}
-
-void
-Machine::flushSuperblocks()
-{
-    if (superblocks_.empty())
-        return;
-    for (Superblock &b : superblocks_)
-        b.valid = false;
-    for (SbRecorder &r : sbRecorders_)
-        r.reset();
-    // Stale thread cursors are harmless: every use revalidates
-    // against the block's valid/entry/count fields.
-    (*superblockFlushes_)++;
 }
 
 void
@@ -619,14 +594,6 @@ void
 Machine::issueThread(Thread &thread)
 {
     lastIssueCycle_ = cycle_; // progress signal for the watchdog
-    // Superblock threaded dispatch: taken only when no observer
-    // needs per-instruction visibility — the trace hook, profiler,
-    // and trace sinks all see every instruction on the legacy path.
-    // One bool test when the feature is off.
-    if (config_.superblocks && !traceHook_ &&
-        !sim::Profiler::armed() && !sim::TraceManager::anyEnabled() &&
-        issueThreadSb(thread))
-        return;
     if (sim::Profiler::armed())
         sim::Profiler::instance().accBegin(sim::ProfComp::IFetch);
     const mem::MemAccess f = port_->portFetch(thread.ip(), cycle_);
@@ -697,14 +664,6 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
         inst = &slot.inst;
         (*predecodeMisses_)++;
     }
-
-    // Feed the superblock trace recorder: record-as-you-go from the
-    // actual timed fetches, so only genuinely executed straight-line
-    // paths become traces (and never through portPeek, which would
-    // demand-allocate pages the program never touched).
-    if (config_.superblocks)
-        recordSbStep(thread, ip_addr, f.data.bits(), *inst,
-                     slot.verdict);
 
     if (sim::Profiler::armed()) {
         // Open the instruction's occupancy record at the issue cycle;
@@ -1231,614 +1190,6 @@ Machine::completeDeferred(uint64_t ticket, const mem::MemAccess &acc)
     if (!advanceIp(thread, 1, rec.elide))
         return;
     thread.stallTo(acc.completeCycle);
-}
-
-bool
-Machine::issueThreadSb(Thread &thread)
-{
-    const uint64_t ip_addr = thread.ip().addr();
-    if (thread.sbEntry() != UINT64_MAX) {
-        // Resume the trace in progress. The cursor is revalidated
-        // wholesale: the block must still be the one whose span this
-        // thread verified (same entry AND count — a re-recorded
-        // block may be longer than the proven span), and the IP must
-        // sit exactly on the cursor's slot.
-        Superblock &b =
-            superblocks_[(thread.sbEntry() >> 3) & (kSbEntries - 1)];
-        if (b.valid && b.entry == thread.sbEntry() &&
-            b.count == thread.sbCount() &&
-            thread.sbPos() < b.count &&
-            b.entry + uint64_t(thread.sbPos()) * 8 == ip_addr) {
-            execSbSlot(thread, b);
-            return true;
-        }
-        thread.clearSbCursor();
-    }
-    Superblock &b = superblocks_[(ip_addr >> 3) & (kSbEntries - 1)];
-    if (!b.valid || b.entry != ip_addr)
-        return false;
-    // Entry verification, once per block entry: the trace runs
-    // check-elided fetches, which is sound only against THIS
-    // thread's execute pointer — different threads may hold
-    // differently-bounded pointers to the same code. One decode
-    // proves execute rights, alignment, and that the whole trace
-    // span sits inside the segment; the intra-block sequential IP
-    // advance (withAddr only) preserves every non-address field, so
-    // the proof holds for as long as the cursor lives. Declining to
-    // prove (no execute right, span escapes) falls back to the
-    // legacy path, which raises the architectural fault under full
-    // checks.
-    auto dec = gp::decode(thread.ip());
-    if (!dec)
-        return false;
-    const gp::PointerView &v = dec.value;
-    if ((gp::rightsOf(v.perm()) & gp::RightExecute) == 0 ||
-        (ip_addr & 7) != 0 ||
-        b.entry + uint64_t(b.count) * 8 > v.segmentLimit())
-        return false;
-    thread.setSbCursor(b.entry, b.count, 0,
-                       v.perm() == gp::Perm::ExecutePrivileged);
-    execSbSlot(thread, b);
-    return true;
-}
-
-void
-Machine::execSbSlot(Thread &thread, Superblock &b)
-{
-    const uint32_t pos = thread.sbPos();
-    const SbSlot &slot = b.slots[pos];
-    // The timed fetch always runs: bank contention, cache and TLB
-    // state, translation faults, and completion cycles are identical
-    // to the legacy path. Only the per-fetch pointer check is
-    // elided, under the span proof established at block entry.
-    const mem::MemAccess f =
-        port_->portFetch(thread.ip(), cycle_, true);
-    if (f.deferred) {
-        readyMayHaveShrunk_ = true;
-        thread.park();
-        deferred_.push_back(
-            {f.ticket, uint32_t(&thread - threads_.data()),
-             DeferredKind::Fetch, 0, 0, 0, false});
-        // The barrier resumes through finishFetch() on the legacy
-        // path; the cursor would be stale by then.
-        thread.clearSbCursor();
-        return;
-    }
-    if (f.hang) {
-        thread.clearSbCursor();
-        thread.stallTo(UINT64_MAX);
-        (*hungAccesses_)++;
-        return;
-    }
-    if (f.fault != Fault::None) {
-        thread.clearSbCursor();
-        faultThread(thread, f.fault);
-        return;
-    }
-    if (f.data.bits() != slot.bits || f.data.isPointer()) {
-        // Raw-bits revalidation failed: the code under the trace
-        // changed (self-modifying code, image reload). Tear the
-        // block down and re-decode this very fetch result on the
-        // legacy path — no second fetch, no timing difference.
-        b.valid = false;
-        (*superblockFlushes_)++;
-        thread.clearSbCursor();
-        finishFetch(thread, f);
-        return;
-    }
-    (*superblockHits_)++;
-    executeSb(thread, b, pos, slot, f.completeCycle);
-}
-
-void
-Machine::executeSb(Thread &thread, Superblock &b, uint32_t pos,
-                   const SbSlot &slot, uint64_t ready_at)
-{
-    const Inst &inst = slot.inst;
-    const Word ra = thread.reg(inst.ra);
-    const Word rb = thread.reg(inst.rb);
-    // Privilege was verified at block entry and is invariant while
-    // the cursor lives (the sequential advance never alters the
-    // permission field) — the per-instruction ipPrivileged() decode
-    // of the legacy path disappears.
-    const bool priv = thread.sbPriv();
-    const bool elide = verdictElides(slot.verdict, priv) &&
-                       !faultHandler_ &&
-                       !sim::FaultInjector::armed();
-    const bool last = pos + 1 == b.count;
-
-    // Counting up front is equivalent to the legacy order (execute,
-    // then count in finishFetch): every dispatched slot counts, like
-    // every executed instruction does — including halts, faults, and
-    // operand parks.
-    (*instructions_)++;
-    (*mix_[slot.mixClass])++;
-
-    uint64_t done = ready_at + 1;
-    int64_t branch_delta = 1;
-
-    // Twin of execute()'s note_check: elide-accounting only, and only
-    // under elideChecks mode. The profiler leg is omitted — the
-    // superblock path never runs with the profiler armed.
-    auto note_check = [&](bool elided) {
-        if (!config_.elideChecks)
-            return;
-        if (elided)
-            (*elideChecksElided_)++;
-        else
-            (*elideChecksExecuted_)++;
-    };
-    auto sb_fault = [&](Fault f) {
-        thread.clearSbCursor();
-        faultThread(thread, f);
-    };
-
-#if defined(__GNUC__) && !defined(GP_NO_COMPUTED_GOTO)
-    // Threaded dispatch: one indirect jump per slot. The table is
-    // positional — its order must match SbHandler exactly.
-    static const void *const kSbLabels[] = {
-        &&h_add,   &&h_sub,  &&h_mul,  &&h_and,  &&h_or,
-        &&h_xor,   &&h_shl,  &&h_shr,  &&h_sra,  &&h_slt,
-        &&h_sltu,  &&h_addi, &&h_andi, &&h_ori,  &&h_xori,
-        &&h_shli,  &&h_shri, &&h_srai, &&h_movi, &&h_lui,
-        &&h_mov,   &&h_nop,  &&h_getip, &&h_load, &&h_store,
-        &&h_lea,   &&h_leai, &&h_beq,  &&h_bne,  &&h_blt,
-        &&h_bge,   &&h_generic,
-    };
-    static_assert(sizeof(kSbLabels) / sizeof(kSbLabels[0]) ==
-                      kSbHandlerCount,
-                  "label table must cover every SbHandler in order");
-    goto *kSbLabels[slot.handler];
-#else
-    // Portable fallback (GP_NO_COMPUTED_GOTO; exercised by the
-    // gp-no-computed-goto CI job): a dense switch over the handler
-    // index jumping to the same labels.
-    switch (SbHandler(slot.handler)) {
-      case kSbAdd:
-        goto h_add;
-      case kSbSub:
-        goto h_sub;
-      case kSbMul:
-        goto h_mul;
-      case kSbAnd:
-        goto h_and;
-      case kSbOr:
-        goto h_or;
-      case kSbXor:
-        goto h_xor;
-      case kSbShl:
-        goto h_shl;
-      case kSbShr:
-        goto h_shr;
-      case kSbSra:
-        goto h_sra;
-      case kSbSlt:
-        goto h_slt;
-      case kSbSltu:
-        goto h_sltu;
-      case kSbAddi:
-        goto h_addi;
-      case kSbAndi:
-        goto h_andi;
-      case kSbOri:
-        goto h_ori;
-      case kSbXori:
-        goto h_xori;
-      case kSbShli:
-        goto h_shli;
-      case kSbShri:
-        goto h_shri;
-      case kSbSrai:
-        goto h_srai;
-      case kSbMovi:
-        goto h_movi;
-      case kSbLui:
-        goto h_lui;
-      case kSbMov:
-        goto h_mov;
-      case kSbNop:
-        goto h_nop;
-      case kSbGetIp:
-        goto h_getip;
-      case kSbLoad:
-        goto h_load;
-      case kSbStore:
-        goto h_store;
-      case kSbLea:
-        goto h_lea;
-      case kSbLeai:
-        goto h_leai;
-      case kSbBeq:
-        goto h_beq;
-      case kSbBne:
-        goto h_bne;
-      case kSbBlt:
-        goto h_blt;
-      case kSbBge:
-        goto h_bge;
-      case kSbGeneric:
-      case kSbHandlerCount:
-        goto h_generic;
-    }
-    goto h_generic;
-#endif
-
-  h_add:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() + rb.bits()));
-    goto seq_tail;
-  h_sub:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() - rb.bits()));
-    goto seq_tail;
-  h_mul:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() * rb.bits()));
-    done = ready_at + config_.mulLatency;
-    goto seq_tail;
-  h_and:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() & rb.bits()));
-    goto seq_tail;
-  h_or:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() | rb.bits()));
-    goto seq_tail;
-  h_xor:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() ^ rb.bits()));
-    goto seq_tail;
-  h_shl:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits() << (rb.bits() & 63)));
-    goto seq_tail;
-  h_shr:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits() >> (rb.bits() & 63)));
-    goto seq_tail;
-  h_sra:
-    thread.setReg(inst.rd,
-                  Word::fromInt(uint64_t(int64_t(ra.bits()) >>
-                                         (rb.bits() & 63))));
-    goto seq_tail;
-  h_slt:
-    thread.setReg(inst.rd,
-                  Word::fromInt(int64_t(ra.bits()) <
-                                        int64_t(rb.bits())
-                                    ? 1
-                                    : 0));
-    goto seq_tail;
-  h_sltu:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits() < rb.bits() ? 1 : 0));
-    goto seq_tail;
-  h_addi:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() +
-                                         uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_andi:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() &
-                                         uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_ori:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() |
-                                         uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_xori:
-    thread.setReg(inst.rd, Word::fromInt(ra.bits() ^
-                                         uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_shli:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits()
-                                << (uint32_t(inst.imm) & 63)));
-    goto seq_tail;
-  h_shri:
-    thread.setReg(inst.rd,
-                  Word::fromInt(ra.bits() >>
-                                (uint32_t(inst.imm) & 63)));
-    goto seq_tail;
-  h_srai:
-    thread.setReg(inst.rd,
-                  Word::fromInt(uint64_t(
-                      int64_t(ra.bits()) >>
-                      (uint32_t(inst.imm) & 63))));
-    goto seq_tail;
-  h_movi:
-    thread.setReg(inst.rd, Word::fromInt(uint64_t(int64_t(inst.imm))));
-    goto seq_tail;
-  h_lui:
-    thread.setReg(inst.rd,
-                  Word::fromInt(uint64_t(uint32_t(inst.imm)) << 32));
-    goto seq_tail;
-  h_mov:
-    // Tag-preserving move: capabilities are freely copyable.
-    thread.setReg(inst.rd, ra);
-    goto seq_tail;
-  h_nop:
-    goto seq_tail;
-  h_getip:
-    thread.setReg(inst.rd, thread.ip());
-    goto seq_tail;
-
-  h_load: {
-      Word eptr = ra;
-      bool port_elide = true;
-      if (elide) {
-          if (inst.imm != 0) {
-              note_check(true);
-              eptr = gp::leaUnchecked(ra, int64_t(inst.imm));
-          }
-          note_check(true);
-      } else if (config_.elideChecks) {
-          // Keep the legacy split sequence under --elide-checks so
-          // the elide-accounting counters stay byte-identical.
-          if (inst.imm != 0) {
-              note_check(false);
-              auto r = gp::lea(ra, int64_t(inst.imm));
-              if (!r) {
-                  sb_fault(r.fault);
-                  return;
-              }
-              eptr = r.value;
-          }
-          note_check(false);
-          port_elide = false;
-      } else {
-          // Fused check+access: one permission decode covers the
-          // displacement LEA and the access check, and the port runs
-          // check-elided. Fault kinds and order are identical to the
-          // split sequence (see gp::leaCheckAccess).
-          auto r = gp::leaCheckAccess(ra, int64_t(inst.imm),
-                                      Access::Load, slot.size);
-          if (!r) {
-              sb_fault(r.fault);
-              return;
-          }
-          eptr = r.value;
-      }
-      const mem::MemAccess acc =
-          port_->portLoad(eptr, slot.size, ready_at, port_elide);
-      if (acc.deferred) {
-          readyMayHaveShrunk_ = true;
-          thread.park();
-          deferred_.push_back(
-              {acc.ticket, uint32_t(&thread - threads_.data()),
-               DeferredKind::Load, inst.rd, slot.size, 0, elide});
-          thread.clearSbCursor();
-          return;
-      }
-      if (acc.hang) {
-          thread.clearSbCursor();
-          thread.stallTo(UINT64_MAX);
-          (*hungAccesses_)++;
-          return;
-      }
-      if (acc.fault != Fault::None) {
-          sb_fault(acc.fault);
-          return;
-      }
-      thread.setReg(inst.rd, acc.data);
-      done = acc.completeCycle;
-      goto seq_tail;
-  }
-
-  h_store: {
-      Word eptr = ra;
-      bool port_elide = true;
-      if (elide) {
-          if (inst.imm != 0) {
-              note_check(true);
-              eptr = gp::leaUnchecked(ra, int64_t(inst.imm));
-          }
-          note_check(true);
-      } else if (config_.elideChecks) {
-          if (inst.imm != 0) {
-              note_check(false);
-              auto r = gp::lea(ra, int64_t(inst.imm));
-              if (!r) {
-                  sb_fault(r.fault);
-                  return;
-              }
-              eptr = r.value;
-          }
-          note_check(false);
-          port_elide = false;
-      } else {
-          auto r = gp::leaCheckAccess(ra, int64_t(inst.imm),
-                                      Access::Store, slot.size);
-          if (!r) {
-              sb_fault(r.fault);
-              return;
-          }
-          eptr = r.value;
-      }
-      const Word value = thread.reg(inst.rd);
-      const mem::MemAccess acc = port_->portStore(
-          eptr, value, slot.size, ready_at, port_elide);
-      if (acc.deferred) {
-          readyMayHaveShrunk_ = true;
-          thread.park();
-          deferred_.push_back(
-              {acc.ticket, uint32_t(&thread - threads_.data()),
-               DeferredKind::Store, 0, slot.size, eptr.addr(),
-               elide});
-          thread.clearSbCursor();
-          return;
-      }
-      if (acc.hang) {
-          thread.clearSbCursor();
-          thread.stallTo(UINT64_MAX);
-          (*hungAccesses_)++;
-          return;
-      }
-      if (acc.fault != Fault::None) {
-          sb_fault(acc.fault);
-          return;
-      }
-      // Store into a verified image voids every proof — mirror of
-      // execute()'s do_store (see the comment there).
-      {
-          const uint64_t sa = eptr.addr();
-          if (sa + slot.size > proofCoverLo_ && sa < proofCoverHi_) {
-              elideProofs_.clear();
-              proofCoverLo_ = UINT64_MAX;
-              proofCoverHi_ = 0;
-              proofsDirty_ = true;
-          }
-      }
-      done = acc.completeCycle;
-      goto seq_tail;
-  }
-
-  h_lea: {
-      if (elide) {
-          thread.setReg(inst.rd,
-                        gp::leaUnchecked(ra, int64_t(rb.bits())));
-          done = ready_at;
-          (*elideCyclesSaved_)++;
-          note_check(true);
-          goto seq_tail;
-      }
-      note_check(false);
-      auto r = gp::lea(ra, int64_t(rb.bits()));
-      if (!r) {
-          sb_fault(r.fault);
-          return;
-      }
-      thread.setReg(inst.rd, r.value);
-      goto seq_tail;
-  }
-  h_leai: {
-      if (elide) {
-          thread.setReg(inst.rd,
-                        gp::leaUnchecked(ra, int64_t(inst.imm)));
-          done = ready_at;
-          (*elideCyclesSaved_)++;
-          note_check(true);
-          goto seq_tail;
-      }
-      note_check(false);
-      auto r = gp::lea(ra, int64_t(inst.imm));
-      if (!r) {
-          sb_fault(r.fault);
-          return;
-      }
-      thread.setReg(inst.rd, r.value);
-      goto seq_tail;
-  }
-
-  // Branches compare rd and ra (assembler encoding) and always end
-  // the trace, so they exit through the full bounds-checked advance.
-  h_beq:
-    if (thread.reg(inst.rd) == ra)
-        branch_delta = 1 + int64_t(inst.imm);
-    goto exit_tail;
-  h_bne:
-    if (!(thread.reg(inst.rd) == ra))
-        branch_delta = 1 + int64_t(inst.imm);
-    goto exit_tail;
-  h_blt:
-    if (int64_t(thread.reg(inst.rd).bits()) < int64_t(ra.bits()))
-        branch_delta = 1 + int64_t(inst.imm);
-    goto exit_tail;
-  h_bge:
-    if (int64_t(thread.reg(inst.rd).bits()) >= int64_t(ra.bits()))
-        branch_delta = 1 + int64_t(inst.imm);
-    goto exit_tail;
-
-  h_generic: {
-      // Full-interpreter detour for the rare opcodes (and the
-      // JMP/HALT trace enders). The cursor drops first so execute()'s
-      // fault and control-flow handling runs unconstrained; it is
-      // re-attached only when execution provably stayed on the trace
-      // under the same execute pointer — a sequential advance
-      // preserves the pointer, whereas a JMP may land on the next
-      // trace address through a *different* pointer whose bounds the
-      // entry span proof says nothing about, and a recovered fault
-      // may resume at a handler-installed IP that merely coincides.
-      thread.clearSbCursor();
-      const size_t faults_before = faultLog_.size();
-      execute(thread, inst, ready_at, slot.verdict);
-      if (proofsDirty_) {
-          proofsDirty_ = false;
-          flushPredecode();
-      }
-      if (!last && inst.op != Op::JMP &&
-          faultLog_.size() == faults_before &&
-          thread.state() == ThreadState::Ready &&
-          thread.ip().addr() == b.entry + (uint64_t(pos) + 1) * 8)
-          thread.setSbCursor(b.entry, b.count, pos + 1, priv);
-      return;
-  }
-
-  seq_tail:
-    if (last)
-        goto exit_tail;
-    thread.retire();
-    note_check(elide);
-    // Intra-block sequential advance: entry verification proved
-    // entry + count*8 <= segmentLimit, so for a non-final slot the
-    // next IP is strictly inside the segment — the checked IP LEA
-    // cannot fire and the unchecked datapath is sound. (gp.op_lea is
-    // not bumped for it: documented drift, shared with elide mode.)
-    thread.setIp(gp::leaUnchecked(thread.ip(), 8));
-    thread.setSbPos(pos + 1);
-    thread.stallTo(done);
-    if (proofsDirty_) {
-        proofsDirty_ = false;
-        flushPredecode();
-    }
-    return;
-
-  exit_tail:
-    // Final slot (or a branch): the trace's one control-flow exit
-    // runs the full bounds-checked IP advance, exactly like the
-    // legacy retire tail — running or branching off the end of the
-    // code segment still faults here.
-    thread.retire();
-    note_check(elide);
-    thread.clearSbCursor();
-    if (advanceIp(thread, branch_delta, elide))
-        thread.stallTo(done);
-    if (proofsDirty_) {
-        proofsDirty_ = false;
-        flushPredecode();
-    }
-    return;
-}
-
-void
-Machine::recordSbStep(const Thread &thread, uint64_t ip_addr,
-                      uint64_t bits, const Inst &inst, uint8_t verdict)
-{
-    SbRecorder &r = sbRecorders_[&thread - threads_.data()];
-    if (!r.active || r.entry + uint64_t(r.count) * 8 != ip_addr) {
-        // Non-contiguous fetch (branch target, fault resume): the
-        // trace restarts here.
-        r.entry = ip_addr;
-        r.count = 0;
-        r.active = true;
-    }
-    SbSlot &s = r.slots[r.count++];
-    s.bits = bits;
-    s.inst = inst;
-    s.verdict = verdict;
-    s.handler = uint8_t(sbClassify(inst.op, s.size));
-    s.mixClass = uint8_t(instClass(inst.op));
-    if (sbEndsBlock(inst.op) || r.count == kSbMaxSlots) {
-        // Single-instruction traces are not worth the entry
-        // verification; require at least two slots.
-        if (r.count >= 2)
-            installSuperblock(r);
-        r.reset();
-    }
-}
-
-void
-Machine::installSuperblock(const SbRecorder &r)
-{
-    Superblock &b = superblocks_[(r.entry >> 3) & (kSbEntries - 1)];
-    b.entry = r.entry;
-    b.count = r.count;
-    for (uint32_t i = 0; i < r.count; ++i)
-        b.slots[i] = r.slots[i];
-    b.valid = true;
-    (*superblockInstalls_)++;
 }
 
 } // namespace gp::isa

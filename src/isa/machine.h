@@ -28,7 +28,6 @@
 #include "gp/word.h"
 #include "isa/elide.h"
 #include "isa/inst.h"
-#include "isa/superblock.h"
 #include "isa/thread.h"
 #include "mem/fast_port.h"
 #include "mem/memory_system.h"
@@ -93,20 +92,6 @@ struct MachineConfig
      * default (false) keeps today's per-machine tick.
      */
     bool externalInjectorTick = false;
-
-    /**
-     * Superblock threaded dispatch (gpsim --superblocks): string
-     * predecoded instructions into straight-line traces and dispatch
-     * through them with computed-goto threading, fusing the
-     * guarded-pointer check+access hot path. Simulated cycles, fault
-     * behaviour, registers, and memory are byte-identical to the
-     * baseline interpreter — one instruction still issues per thread
-     * per cycle; only host-side dispatch/decode/check work is saved
-     * (docs/ARCHITECTURE.md "Threaded dispatch & superblocks"). Off
-     * by default; when off, the machine exposes exactly the counter
-     * set the blessed signatures were pinned to.
-     */
-    bool superblocks = false;
 
     /**
      * Functional-only execution (gpsim --fast): run instructions
@@ -313,50 +298,6 @@ class Machine
     void execute(Thread &thread, const Inst &inst, uint64_t ready_at,
                  uint8_t verdict);
 
-    /**
-     * Superblock fast path for one issue slot: resume the thread's
-     * in-progress trace, or enter the trace cached at its IP after
-     * verifying execute rights and the whole trace span against the
-     * thread's own execute pointer. @return false when no valid
-     * trace applies (caller falls back to the legacy path, which
-     * also raises any fetch-check fault the verification declined to
-     * prove away). Never called when a trace hook, profiler, or
-     * trace sink needs per-instruction visibility.
-     */
-    bool issueThreadSb(Thread &thread);
-
-    /**
-     * Execute one slot of a superblock: performs the timed fetch
-     * (check elided under the entry span proof), revalidates the
-     * slot's raw bits against the fetched word — a mismatch
-     * invalidates the block and falls back to finishFetch() on the
-     * same fetch result — and dispatches the handler.
-     */
-    void execSbSlot(Thread &thread, Superblock &b);
-
-    /**
-     * Threaded dispatch of slot @p pos (computed goto, or a switch
-     * fallback under GP_NO_COMPUTED_GOTO). Semantics, counters, and
-     * timing mirror execute() + the finishFetch() tail exactly; the
-     * intra-block IP advance uses the unchecked LEA datapath, proven
-     * in-segment by the entry span verification.
-     */
-    void executeSb(Thread &thread, Superblock &b, uint32_t pos,
-                   const SbSlot &slot, uint64_t ready_at);
-
-    /** Feed the per-thread trace recorder one legacy-path fetch;
-     * installs a superblock when a trace ends. */
-    void recordSbStep(const Thread &thread, uint64_t ip_addr,
-                      uint64_t bits, const Inst &inst,
-                      uint8_t verdict);
-
-    /** Install the recorder's finished trace (count >= 2). */
-    void installSuperblock(const SbRecorder &r);
-
-    /** Invalidate every superblock and reset all recorders (the
-     * block-level twin of flushPredecode(), called from it). */
-    void flushSuperblocks();
-
     /** Record a fault on the thread and the machine fault log. */
     void faultThread(Thread &thread, Fault f);
 
@@ -517,18 +458,6 @@ class Machine
     /// Direct-mapped predecoded-instruction cache, indexed by
     /// (vaddr >> 3) & (kPredecodeEntries - 1).
     std::vector<PredecodedInst> predecode_;
-
-    /// Superblock cache and per-thread trace recorders; sized only
-    /// when config_.superblocks is set (empty vectors otherwise, so
-    /// the feature costs one bool test per issue when off). The
-    /// superblock_* counters register under the same gate, keeping
-    /// the default-mode counter set — and every blessed signature —
-    /// untouched.
-    std::vector<Superblock> superblocks_;
-    std::vector<SbRecorder> sbRecorders_;
-    sim::Counter *superblockHits_ = nullptr;
-    sim::Counter *superblockInstalls_ = nullptr;
-    sim::Counter *superblockFlushes_ = nullptr;
 
     /// Outstanding split transactions (one per Pending thread, at
     /// most threads_.size() entries — linear lookup is fine).

@@ -61,7 +61,6 @@ class Thread
         stallUntil_ = 0;
         instsRetired_ = 0;
         faultRecord_ = FaultRecord{};
-        clearSbCursor();
     }
 
     const Word &reg(unsigned i) const { return regs_[i]; }
@@ -126,37 +125,6 @@ class Thread
     uint64_t instsRetired() const { return instsRetired_; }
     void retire() { instsRetired_++; }
 
-    // --- Superblock cursor (microarchitectural, not architectural
-    // state: it caches "this thread is part-way through the
-    // superblock entered at sbEntry_ — whose span of sbCount_ slots
-    // it verified against its own execute pointer — at slot sbPos_,
-    // with entry-verified privilege sbPriv_"). The machine
-    // revalidates entry/count against the cached block on every use,
-    // so a replaced or invalidated block is merely a missed fast
-    // path, never incorrect execution.
-    uint64_t sbEntry() const { return sbEntry_; }
-    uint32_t sbCount() const { return sbCount_; }
-    uint32_t sbPos() const { return sbPos_; }
-    bool sbPriv() const { return sbPriv_; }
-    void
-    setSbCursor(uint64_t entry, uint32_t count, uint32_t pos,
-                bool priv)
-    {
-        sbEntry_ = entry;
-        sbCount_ = count;
-        sbPos_ = pos;
-        sbPriv_ = priv;
-    }
-    void setSbPos(uint32_t pos) { sbPos_ = pos; }
-    void
-    clearSbCursor()
-    {
-        sbEntry_ = UINT64_MAX;
-        sbCount_ = 0;
-        sbPos_ = 0;
-        sbPriv_ = false;
-    }
-
   private:
     Word regs_[kNumRegs];
     Word ip_;
@@ -165,10 +133,6 @@ class Thread
     uint64_t instsRetired_ = 0;
     uint32_t id_ = 0;
     FaultRecord faultRecord_;
-    uint64_t sbEntry_ = UINT64_MAX; //!< superblock entry, or none
-    uint32_t sbCount_ = 0;          //!< span verified at entry
-    uint32_t sbPos_ = 0;            //!< next slot within the block
-    bool sbPriv_ = false;           //!< privilege verified at entry
 };
 
 } // namespace gp::isa

@@ -45,10 +45,11 @@ class MemoryPort
     /**
      * Timed instruction fetch. elide_check skips the per-fetch
      * guarded-pointer check: legal only when the caller has already
-     * proven execute rights and bounds for the fetch address (the
-     * superblock engine verifies a whole trace's span at block entry;
-     * see docs/ARCHITECTURE.md "Threaded dispatch & superblocks").
-     * Timing, translation, and fault behaviour are unchanged.
+     * proven execute rights and bounds for the fetch address. The
+     * Machine always fetches checked; the flag is part of the port
+     * signature that implementations (including the benchmark's
+     * timing shim) override. Timing, translation, and fault
+     * behaviour are unchanged.
      */
     virtual MemAccess portFetch(Word ip, uint64_t now,
                                 bool elide_check = false) = 0;

@@ -116,7 +116,7 @@ class MemorySystem : public MemoryPort
 
     /** Timed instruction fetch (requires execute permission);
      * elide_check skips the per-fetch pointer check under a caller's
-     * span proof (superblock entry verification). */
+     * proof of execute rights and bounds (see MemoryPort::portFetch). */
     MemAccess fetch(Word ip, uint64_t now = 0,
                     bool elide_check = false);
 

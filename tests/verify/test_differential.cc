@@ -415,20 +415,15 @@ TEST(VerifierDifferential, ElisionPreservesArchitecturalOutcomes)
 }
 
 /**
- * The superblock/fast arm: every generated program runs three ways —
- * the legacy interpreter, the superblock threaded-code interpreter,
- * and functional-only --fast mode — over the identical corpus
- * (including the corrupted images, which exercise the raw-bits
- * trace-invalidation path). Superblocks must agree with legacy on
- * EVERY observable including the cycle count; --fast must agree on
- * everything architectural (state, fault record, registers with
+ * The fast arm: every generated program runs twice — on the timed
+ * legacy interpreter and in functional-only --fast mode — over the
+ * identical corpus (including the corrupted images). --fast must agree
+ * on everything architectural (state, fault record, registers with
  * tags, retired instructions, final data image) with only the cycle
  * count firewalled out.
  */
-TEST(VerifierDifferential, SuperblocksAndFastPreserveOutcomes)
+TEST(VerifierDifferential, FastPreservesOutcomes)
 {
-    uint64_t superblockHitsTotal = 0;
-
     for (unsigned p = 0; p < kPrograms; ++p) {
         // Same seeds as SoundOverRandomPrograms: identical corpus.
         const uint64_t seed = 0xD1FF0000 + p;
@@ -454,13 +449,10 @@ TEST(VerifierDifferential, SuperblocksAndFastPreserveOutcomes)
             std::vector<uint64_t> regs;
             uint64_t signature = 0;
             uint64_t instructions = 0;
-            uint64_t cycles = 0;
-            uint64_t sbHits = 0;
         };
-        auto runArm = [&](bool superblocks, bool fast) -> Arm {
+        auto runArm = [&](bool fast) -> Arm {
             isa::MachineConfig cfg;
             cfg.mem.cache.setsPerBank = 64;
-            cfg.superblocks = superblocks;
             cfg.fastMode = fast;
             isa::Machine machine(cfg);
             const isa::LoadedProgram prog =
@@ -470,11 +462,9 @@ TEST(VerifierDifferential, SuperblocksAndFastPreserveOutcomes)
             t->setReg(1, isa::dataSegment(kDataBase, kDataLenLog2));
             t->setReg(2, Word::fromInt(0));
             machine.run(kMaxCycles);
-            // Second pass over the now-traced image: the corpus is
-            // loop-free, so the first execution only RECORDS traces —
-            // this pass actually runs through them, driving the
-            // threaded dispatch path in the superblock arms. Every
-            // arm runs the pass, keeping the comparison symmetric.
+            // Second pass over the same image, now resident in the
+            // predecode cache and over the first pass's data: both
+            // arms run it, keeping the comparison symmetric.
             isa::Thread *t2 = machine.spawn(prog.execPtr);
             EXPECT_NE(t2, nullptr);
             t2->setReg(1, isa::dataSegment(kDataBase, kDataLenLog2));
@@ -496,35 +486,13 @@ TEST(VerifierDifferential, SuperblocksAndFastPreserveOutcomes)
             }
             a.signature = dataSignature(machine);
             a.instructions = machine.stats().get("instructions");
-            a.cycles = machine.cycle();
-            if (superblocks)
-                a.sbHits = machine.stats().get("superblock_hits");
             return a;
         };
 
-        const Arm legacy = runArm(false, false);
-        const Arm sb = runArm(true, false);
-        const Arm fast = runArm(true, true);
-        superblockHitsTotal += sb.sbHits;
+        const Arm legacy = runArm(false);
+        const Arm fast = runArm(true);
 
-        // Superblocks: strict identity, cycle count included.
-        ASSERT_EQ(unsigned(legacy.state), unsigned(sb.state))
-            << "seed " << seed << "\n"
-            << src << "superblocks changed the final thread state";
-        ASSERT_EQ(legacy.cycles, sb.cycles)
-            << "seed " << seed << "\n"
-            << src << "superblocks changed the cycle count";
-        ASSERT_EQ(legacy.regs, sb.regs)
-            << "seed " << seed << "\n"
-            << src << "superblocks changed a register";
-        ASSERT_EQ(legacy.signature, sb.signature)
-            << "seed " << seed << "\n"
-            << src << "superblocks changed the data image";
-        ASSERT_EQ(legacy.instructions, sb.instructions)
-            << "seed " << seed << "\n"
-            << src << "superblocks changed the instruction count";
-
-        // Fast mode: architectural identity, cycles firewalled.
+        // Architectural identity, cycles firewalled.
         ASSERT_EQ(unsigned(legacy.state), unsigned(fast.state))
             << "seed " << seed << "\n"
             << src << "--fast changed the final thread state";
@@ -538,12 +506,6 @@ TEST(VerifierDifferential, SuperblocksAndFastPreserveOutcomes)
             << "seed " << seed << "\n"
             << src << "--fast changed the instruction count";
         if (legacy.state == isa::ThreadState::Faulted) {
-            ASSERT_EQ(unsigned(legacy.fault), unsigned(sb.fault))
-                << "seed " << seed << "\n"
-                << src << "superblocks changed the fault kind";
-            ASSERT_EQ(legacy.faultAddr, sb.faultAddr)
-                << "seed " << seed << "\n"
-                << src << "superblocks changed the faulting IP";
             ASSERT_EQ(unsigned(legacy.fault), unsigned(fast.fault))
                 << "seed " << seed << "\n"
                 << src << "--fast changed the fault kind";
@@ -554,11 +516,6 @@ TEST(VerifierDifferential, SuperblocksAndFastPreserveOutcomes)
         if (::testing::Test::HasFailure())
             break;
     }
-
-    // Vacuity tripwire: the corpus must actually run inside traces
-    // (the programs are tiny, loop-free, and frequently fault, so
-    // the bar is "hundreds", not "thousands").
-    EXPECT_GT(superblockHitsTotal, 100u);
 }
 
 } // namespace

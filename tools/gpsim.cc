@@ -78,7 +78,6 @@ struct Options
     bool profile = false;         //!< arm the cycle profiler
     sim::ProfileConfig profileConfig; //!< aggregation modes
     std::string profileOut;       //!< gpprof JSON export path
-    bool superblocks = false;     //!< threaded superblock dispatch
     bool fastMode = false;        //!< functional-only memory port
 };
 
@@ -114,16 +113,11 @@ usage(const char *argv0)
         "  --walk-retries N retry transient page-walk failures up to\n"
         "                   N times (default 0)\n"
         "  --privileged     load as privileged code\n"
-        "  --superblocks    cache straight-line traces over the\n"
-        "                   predecoded stream and run them through\n"
-        "                   the threaded-code dispatcher (identical\n"
-        "                   cycles, faults, and results; faster host\n"
-        "                   execution)\n"
         "  --fast           functional-only mode: skip the timing\n"
-        "                   model entirely (implies --superblocks;\n"
-        "                   identical registers, faults, and memory,\n"
-        "                   but no cycle accounting — never use for\n"
-        "                   timing measurements)\n"
+        "                   model entirely (identical registers,\n"
+        "                   faults, and memory, but no cycle\n"
+        "                   accounting — never use for timing\n"
+        "                   measurements)\n"
         "  --verify[=strict] statically verify capability safety\n"
         "                   before running; abort on errors (strict:\n"
         "                   abort on warnings too)\n"
@@ -343,11 +337,8 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.dumpStats = true;
         } else if (arg == "--privileged") {
             opts.privileged = true;
-        } else if (arg == "--superblocks") {
-            opts.superblocks = true;
         } else if (arg == "--fast") {
             opts.fastMode = true;
-            opts.superblocks = true;
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             return false;
@@ -389,9 +380,6 @@ validateOptions(const Options &opts)
             return "--fast cannot model ECC (storage-cycle timing); "
                    "drop --fast or use --ecc=off";
     }
-    if (opts.superblocks && opts.mesh)
-        return "--superblocks is not mesh-aware yet; drop one of "
-               "the two flags";
     if (opts.mesh) {
         // The verifier pipeline is single-machine: it assumes one
         // Machine owns the process-wide singleton state, which a
@@ -604,7 +592,6 @@ main(int argc, char **argv)
     kcfg.machine.clusters = opts.clusters;
     kcfg.machine.issueWidth = opts.issueWidth;
     kcfg.machine.elideChecks = opts.elideChecks;
-    kcfg.machine.superblocks = opts.superblocks;
     kcfg.machine.fastMode = opts.fastMode;
     kcfg.machine.mem.ecc = opts.ecc;
     kcfg.machine.mem.walkRetries = opts.walkRetries;

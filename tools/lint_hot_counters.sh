@@ -84,13 +84,12 @@ if [ -n "$elideviol" ]; then
     echo "verdict byte, never proofVerdict()/elideProofs_." >&2
     exit 1
 fi
-# Threaded-dispatch discipline (docs/ARCHITECTURE.md, "Threaded
-# dispatch & superblocks"): the superblock dispatch loop exists to
-# strip per-instruction host overhead, so a string-keyed lookup
-# inside it — StatGroup::get("name") included — defeats the whole
-# engine one map probe at a time. The hot trees must read counters
-# through cached handles everywhere; genuinely cold uses (once-per-run
-# exports and the like) carry an explicit
+# Per-instruction discipline: fetch, execute, the memory ports, and
+# the NoC all run once or more per simulated instruction, so a
+# string-keyed lookup anywhere on those paths — StatGroup::get("name")
+# included — costs a map probe per instruction. The hot trees must
+# read counters through cached handles everywhere; genuinely cold
+# uses (once-per-run exports and the like) carry an explicit
 # `// statgroup-get: cold path` annotation on the same line.
 getviol=$(grep -rnE '(stats\(\)|stats_)\.get\(' $dirs \
               --include='*.cc' --include='*.h' \
