@@ -488,7 +488,7 @@ runFig5FastArm()
 /** Arm 3: a small deterministic fault campaign (hardened config). */
 struct CampaignArm
 {
-    fault::CampaignTotals totals;
+    fault::CampaignRunner::Totals totals;
     uint64_t goldenCycles = 0;
     double wallSeconds = 0;
 };

@@ -49,7 +49,6 @@ namespace {
 using namespace gp;
 using fault::CampaignConfig;
 using fault::CampaignRunner;
-using fault::CampaignTotals;
 using fault::Outcome;
 using sim::FaultInjector;
 using sim::FaultSite;
@@ -108,22 +107,13 @@ truthTable()
     t.print();
 }
 
-/** Run one campaign and return its totals. */
-CampaignTotals
-runCampaign(const CampaignConfig &cc)
+/** Append a campaign's five outcome counts, in taxonomy order. */
+template <class Totals>
+void
+appendOutcomes(std::vector<std::string> &row, const Totals &t)
 {
-    CampaignRunner runner(cc);
-    return runner.runAll();
-}
-
-std::vector<std::string>
-outcomeCells(const CampaignTotals &t)
-{
-    std::vector<std::string> cells;
-    for (unsigned o = 0; o < fault::kOutcomeCount; ++o)
-        cells.push_back(gp::bench::fmt(
-            "%llu", (unsigned long long)t.perOutcome[o]));
-    return cells;
+    for (const uint64_t n : t.perOutcome)
+        row.push_back(gp::bench::fmt("%llu", (unsigned long long)n));
 }
 
 void
@@ -160,16 +150,14 @@ perSiteCoverage()
         // detected). 30k cycles is ~8x the golden runtime.
         cc.watchdogCycles = 30000;
         cc.faults.rate[unsigned(s.site)] = s.rate;
-        const CampaignTotals totals = runCampaign(cc);
+        const auto totals = CampaignRunner(cc).runAll();
         std::vector<std::string> row = {
             std::string(sim::faultSiteName(s.site)),
             gp::bench::fmt("%g", s.rate),
             std::string(mem::eccModeName(s.ecc)),
             gp::bench::fmt("%llu",
-                           (unsigned long long)
-                               totals.totalInjections)};
-        for (const std::string &c : outcomeCells(totals))
-            row.push_back(c);
+                           (unsigned long long)totals.sum.injections)};
+        appendOutcomes(row, totals);
         t.addRow(row);
     }
     t.print();
@@ -209,18 +197,17 @@ hardeningAblation()
         cc.faults.rate[unsigned(FaultSite::MemDataBit)] = 3e-4;
         cc.faults.rate[unsigned(FaultSite::MemTagBit)] = 1e-4;
         cc.faults.rate[unsigned(FaultSite::PtWalkTransient)] = 2e-2;
-        const CampaignTotals totals = runCampaign(cc);
+        const auto totals = CampaignRunner(cc).runAll();
         if (a.ecc == mem::EccMode::None)
             unprotectedSdc = totals.outcome(Outcome::Sdc);
         if (a.ecc == mem::EccMode::Secded)
             secdedSdc += totals.outcome(Outcome::Sdc);
         std::vector<std::string> row = {a.name};
-        for (const std::string &c : outcomeCells(totals))
-            row.push_back(c);
+        appendOutcomes(row, totals);
         row.push_back(gp::bench::fmt(
-            "%llu", (unsigned long long)totals.totalEccCorrected));
+            "%llu", (unsigned long long)totals.sum.eccCorrected));
         row.push_back(gp::bench::fmt(
-            "%llu", (unsigned long long)totals.totalEccDetected));
+            "%llu", (unsigned long long)totals.sum.eccDetected));
         t.addRow(row);
     }
     t.print();
@@ -330,34 +317,17 @@ meshFailStop()
         cc.faults.rate[unsigned(FaultSite::NodeFailStop)] =
             a.nodeRate;
         cc.faults.rate[unsigned(FaultSite::LinkDown)] = a.linkRate;
-        fault::MeshCampaignRunner runner(cc);
-        const fault::MeshCampaignTotals totals = runner.runAll();
-        totalSdc += totals.outcome(fault::MeshOutcome::Sdc);
-        totalHang += totals.outcome(fault::MeshOutcome::Hang);
-        t.addRow({a.name, a.retrans ? "on" : "off",
-                  gp::bench::fmt("%llu", (unsigned long long)
-                                             totals.totalInjections),
-                  gp::bench::fmt("%llu", (unsigned long long)
-                                             totals.totalDeadNodes),
-                  gp::bench::fmt("%llu", (unsigned long long)
-                                             totals.totalDownLinks),
-                  gp::bench::fmt("%llu", (unsigned long long)
-                                             totals.totalDetours),
-                  gp::bench::fmt(
-                      "%llu", (unsigned long long)totals.outcome(
-                                  fault::MeshOutcome::Masked)),
-                  gp::bench::fmt(
-                      "%llu", (unsigned long long)totals.outcome(
-                                  fault::MeshOutcome::Degraded)),
-                  gp::bench::fmt(
-                      "%llu", (unsigned long long)totals.outcome(
-                                  fault::MeshOutcome::DetectedFault)),
-                  gp::bench::fmt(
-                      "%llu", (unsigned long long)totals.outcome(
-                                  fault::MeshOutcome::Sdc)),
-                  gp::bench::fmt(
-                      "%llu", (unsigned long long)totals.outcome(
-                                  fault::MeshOutcome::Hang))});
+        const auto totals = fault::MeshCampaignRunner(cc).runAll();
+        totalSdc += totals.outcome(Outcome::Sdc);
+        totalHang += totals.outcome(Outcome::CrashHang);
+        std::vector<std::string> row = {a.name, a.retrans ? "on" : "off"};
+        for (const uint64_t v :
+             {totals.sum.injections, totals.sum.deadNodes,
+              totals.sum.downLinks, totals.sum.detours})
+            row.push_back(
+                gp::bench::fmt("%llu", (unsigned long long)v));
+        appendOutcomes(row, totals);
+        t.addRow(row);
     }
     t.print();
     std::printf("\nheadline: mesh fail-stop SDC runs = %llu, "

@@ -1,9 +1,8 @@
 #include "fault/campaign.h"
 
-#include <string>
-
 #include "isa/assembler.h"
 #include "isa/loader.h"
+#include "isa/machine.h"
 #include "sim/log.h"
 #include "verify/verifier.h"
 
@@ -55,27 +54,10 @@ loop:   ld   r5, 0(r1)        ; reload the capability (forgery channel)
         halt
 )";
 
-/** splitmix64 finalizer for per-run seed derivation. */
-uint64_t
-mix64(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /** Hash of the final data-segment image, tags included. */
-struct Signature
+struct Signature : Fnv1a
 {
-    uint64_t hash = 1469598103934665603ull; // FNV-1a offset basis
-    bool detected = false;                  // uncorrectable at rest
-
-    void
-    mix(uint64_t v)
-    {
-        hash ^= v;
-        hash *= 1099511628211ull;
-    }
+    bool detected = false; // uncorrectable at rest
 };
 
 Signature
@@ -100,16 +82,13 @@ signatureOf(mem::MemorySystem &ms)
         const mem::CheckedWord cw = ms.phys().readWordChecked(pa);
         if (cw.status == mem::EccStatus::Detected)
             sig.detected = true;
-        sig.mix(cw.word.bits());
-        sig.mix(cw.word.isPointer() ? 0x9e3779b9ull : 0x51edull);
+        sig.mix(cw.word);
     }
     return sig;
 }
 
-} // namespace
-
 /** One freshly constructed machine with the workload loaded. */
-struct CampaignRunner::Harness
+struct Harness
 {
     isa::Machine machine;
     isa::Thread *thread = nullptr;
@@ -159,28 +138,20 @@ struct CampaignRunner::Harness
     }
 };
 
-CampaignRunner::CampaignRunner(const CampaignConfig &config)
-    : config_(config)
-{
-}
-
-CampaignRunner::~CampaignRunner()
-{
-    // Never leave a half-finished campaign armed behind us.
-    if (FaultInjector::armed())
-        FaultInjector::instance().disarm();
-}
+} // namespace
 
 RunResult
-CampaignRunner::execute(const uint64_t *runSeed)
+MachineWorkload::run(const CampaignConfig &config,
+                     const sim::FaultConfig *faults,
+                     const std::vector<uint64_t> &golden,
+                     std::vector<uint64_t> &sigs)
 {
-    Harness h(config_);
+    Harness h(config);
     auto &inj = FaultInjector::instance();
     mem::MemorySystem &ms = h.machine.mem();
 
-    if (runSeed) {
-        sim::FaultConfig fc = config_.faults;
-        fc.seed = *runSeed;
+    if (faults) {
+        const sim::FaultConfig &fc = *faults;
         inj.arm(fc);
 
         mem::TaggedMemory &phys = ms.phys();
@@ -254,11 +225,11 @@ CampaignRunner::execute(const uint64_t *runSeed)
         }
     }
 
-    h.machine.run(config_.watchdogCycles + 10000);
+    h.machine.run(config.watchdogCycles + 10000);
 
     RunResult r;
     r.cycles = h.machine.cycle();
-    if (runSeed) {
+    if (faults) {
         r.injections = inj.injectedTotal();
         inj.disarm();
     }
@@ -276,89 +247,27 @@ CampaignRunner::execute(const uint64_t *runSeed)
 
     const Signature sig = signatureOf(ms);
     r.signature = sig.hash;
+    sigs.push_back(sig.hash);
     r.eccCorrected = ms.phys().eccCorrected();
     r.eccDetected = ms.phys().eccDetected();
     r.walkTransients = ms.stats().get("walk_transients");
 
-    if (!runSeed) {
+    if (!faults) {
         r.outcome = Outcome::Masked;
         return r;
     }
 
-    const uint64_t golden = goldenSignature();
     if (hung)
         r.outcome = Outcome::CrashHang;
     else if (faulted || sig.detected)
         r.outcome = Outcome::DetectedFault;
-    else if (sig.hash != golden)
+    else if (sig.hash != golden.front())
         r.outcome = Outcome::Sdc;
     else if (r.eccCorrected > 0 || r.walkTransients > 0)
         r.outcome = Outcome::Corrected;
     else
         r.outcome = Outcome::Masked;
     return r;
-}
-
-uint64_t
-CampaignRunner::goldenSignature()
-{
-    if (!goldenValid_) {
-        const RunResult g = execute(nullptr);
-        goldenSignature_ = g.signature;
-        goldenCycles_ = g.cycles;
-        goldenValid_ = true;
-    }
-    return goldenSignature_;
-}
-
-uint64_t
-CampaignRunner::goldenCycles()
-{
-    goldenSignature();
-    return goldenCycles_;
-}
-
-RunResult
-CampaignRunner::runOne(unsigned index)
-{
-    goldenSignature(); // ensure golden exists before arming
-    const uint64_t runSeed =
-        mix64(config_.seed ^
-              (0x9e3779b97f4a7c15ull * (uint64_t(index) + 1)));
-    return execute(&runSeed);
-}
-
-CampaignTotals
-CampaignRunner::runAll()
-{
-    CampaignTotals totals;
-    totals.goldenCycles = goldenCycles();
-    results_.clear();
-    results_.reserve(config_.runs);
-    for (unsigned i = 0; i < config_.runs; ++i) {
-        const RunResult r = runOne(i);
-        results_.push_back(r);
-        totals.perOutcome[unsigned(r.outcome)]++;
-        totals.totalInjections += r.injections;
-        totals.totalEccCorrected += r.eccCorrected;
-        totals.totalEccDetected += r.eccDetected;
-    }
-    totals.runs = config_.runs;
-
-    // Publish the coverage table through the stats registry so the
-    // JSON export (and tools/statdiff.py) can diff campaigns.
-    stats_.counter("runs").set(totals.runs);
-    stats_.counter("injections").set(totals.totalInjections);
-    stats_.counter("ecc_corrected").set(totals.totalEccCorrected);
-    stats_.counter("ecc_detected").set(totals.totalEccDetected);
-    stats_.counter("golden_cycles").set(totals.goldenCycles);
-    for (unsigned o = 0; o < kOutcomeCount; ++o) {
-        stats_
-            .counter(std::string("outcome.") +
-                     std::string(outcomeName(Outcome(o))))
-            .set(totals.perOutcome[o]);
-    }
-    return totals;
 }
 
 } // namespace gp::fault

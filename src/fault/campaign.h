@@ -1,11 +1,10 @@
 /**
  * @file
- * Deterministic fault-injection campaign runner (ISSUE 4 tentpole).
+ * The single-machine fault campaign (engine.h runs it).
  *
- * A *campaign* is a set of independent simulated runs of one fixed
- * workload, each under a distinct per-run seed, with hardware faults
- * injected at configured sites/rates. Every run is classified into
- * the five-way outcome taxonomy used by the resilience literature:
+ * Each run strikes stored bits and TLB entries of one machine and is
+ * classified into the five-way outcome taxonomy used by the
+ * resilience literature:
  *
  *  - **masked**: faults were injected (or none fired) but the
  *    architectural result is bit-identical to the golden run and no
@@ -31,12 +30,7 @@
  * a result vector, and stores an accumulator — so a stored-bit flip
  * can variously be overwritten (masked), corrupted into the result
  * (SDC), strip/forge the reloaded capability (detected / SDC), or
- * blow up the loop bound (hang).
- *
- * Determinism: the whole campaign outcome is a pure function of
- * (CampaignConfig, master seed). Per-run seeds derive from the
- * master seed by splitmix; all stochastic choices flow through the
- * per-site FaultInjector streams; victim words are chosen from
+ * blow up the loop bound (hang). Victim words are chosen from
  * *sorted* address lists, never from hash iteration order.
  */
 
@@ -47,64 +41,19 @@
 #include <string_view>
 #include <vector>
 
+#include "fault/engine.h"
 #include "gp/fault.h"
-#include "isa/machine.h"
 #include "mem/ecc.h"
-#include "sim/faultinject.h"
-#include "sim/stats.h"
 
 namespace gp::fault {
 
-/** Five-way outcome taxonomy of one injected run. */
-enum class Outcome : uint8_t
+/** Full configuration of one single-machine campaign. */
+struct CampaignConfig : CampaignPlan
 {
-    Masked = 0,
-    Corrected,
-    DetectedFault,
-    Sdc,
-    CrashHang,
-    Count,
-};
-
-inline constexpr unsigned kOutcomeCount =
-    static_cast<unsigned>(Outcome::Count);
-
-/** @return stable lower-case outcome name (stat/JSON key). */
-constexpr std::string_view
-outcomeName(Outcome o)
-{
-    switch (o) {
-      case Outcome::Masked:
-        return "masked";
-      case Outcome::Corrected:
-        return "corrected";
-      case Outcome::DetectedFault:
-        return "detected-fault";
-      case Outcome::Sdc:
-        return "silent-data-corruption";
-      case Outcome::CrashHang:
-        return "crash-hang";
-      default:
-        return "unknown";
-    }
-}
-
-/** Full configuration of one campaign. */
-struct CampaignConfig
-{
-    /** Master seed; run r uses a seed derived from (seed, r). */
-    uint64_t seed = 1;
-    /** Number of injected runs. */
-    unsigned runs = 100;
     /** Hardening: code over stored words. */
     mem::EccMode ecc = mem::EccMode::None;
     /** Hardening: bounded page-walk retries. */
     unsigned walkRetries = 0;
-    /** Per-site injection rates etc. (seed field is ignored; the
-     * campaign installs the per-run seed). */
-    sim::FaultConfig faults;
-    /** Workload size: loop iterations. */
-    uint64_t iterations = 150;
     /** Watchdog cycle budget per run (converts hangs). */
     uint64_t watchdogCycles = 300000;
     /** Watchdog quiescence window per run. */
@@ -132,63 +81,45 @@ struct RunResult
     uint64_t signature = 0;       //!< final data-memory hash
 };
 
-/** Aggregated campaign outcome table. */
-struct CampaignTotals
+/** The single-machine workload, as Campaign<> requires it. */
+struct MachineWorkload
 {
-    uint64_t perOutcome[kOutcomeCount] = {};
-    uint64_t runs = 0;
-    uint64_t totalInjections = 0;
-    uint64_t totalEccCorrected = 0;
-    uint64_t totalEccDetected = 0;
-    uint64_t goldenCycles = 0;    //!< cycles of the fault-free run
+    using Config = CampaignConfig;
+    using Result = RunResult;
 
-    uint64_t
-    outcome(Outcome o) const
-    {
-        return perOutcome[static_cast<unsigned>(o)];
-    }
+    static constexpr const char *kStatGroup = "campaign";
+    static constexpr std::string_view kLabels[kOutcomeCount] = {
+        "masked", "corrected", "detected-fault",
+        "silent-data-corruption", "crash-hang"};
+    static constexpr SummedCounter<RunResult> kSummed[] = {
+        {"injections", &RunResult::injections},
+        {"ecc_corrected", &RunResult::eccCorrected},
+        {"ecc_detected", &RunResult::eccDetected},
+    };
+
+    static RunResult run(const CampaignConfig &config,
+                         const sim::FaultConfig *faults,
+                         const std::vector<uint64_t> &golden,
+                         std::vector<uint64_t> &sigs);
+
+    /** The memory-image signature is the run's only signature. */
+    static void digest(Fnv1a &, const RunResult &) {}
 };
 
 /**
- * Runs the standard workload under a campaign configuration.
- * Each CampaignRunner owns a "campaign" stat group whose counters
- * (outcome.*, runs, injections) feed the registry JSON export.
+ * Runs the standard workload under a campaign configuration; its
+ * "campaign" stat group (outcome.*, runs, injections, ...) feeds the
+ * registry JSON export.
  */
-class CampaignRunner
+using CampaignRunner = Campaign<MachineWorkload>;
+
+/** @return stable lower-case outcome name (stat/JSON key). */
+constexpr std::string_view
+outcomeName(Outcome o)
 {
-  public:
-    explicit CampaignRunner(const CampaignConfig &config);
-    ~CampaignRunner();
-
-    /** The fault-free signature/cycle count (computed lazily). */
-    uint64_t goldenSignature();
-    uint64_t goldenCycles();
-
-    /** Execute run @p index (0-based) under its derived seed. */
-    RunResult runOne(unsigned index);
-
-    /** Execute the whole campaign and aggregate. */
-    CampaignTotals runAll();
-
-    /** Per-run results of the last runAll(). */
-    const std::vector<RunResult> &results() const { return results_; }
-
-    const CampaignConfig &config() const { return config_; }
-    sim::StatGroup &stats() { return stats_; }
-
-  private:
-    struct Harness; // one constructed machine + workload
-
-    /** Execute the workload once; inject iff @p runSeed != nullptr. */
-    RunResult execute(const uint64_t *runSeed);
-
-    CampaignConfig config_;
-    bool goldenValid_ = false;
-    uint64_t goldenSignature_ = 0;
-    uint64_t goldenCycles_ = 0;
-    std::vector<RunResult> results_;
-    sim::StatGroup stats_{"campaign"};
-};
+    return o < Outcome::Count ? MachineWorkload::kLabels[unsigned(o)]
+                              : "unknown";
+}
 
 } // namespace gp::fault
 

@@ -1,10 +1,9 @@
 #include "fault/mesh_campaign.h"
 
-#include <string>
-
 #include "gp/pointer.h"
 #include "isa/assembler.h"
 #include "isa/loader.h"
+#include "noc/shard.h"
 #include "sim/log.h"
 
 namespace gp::fault {
@@ -69,15 +68,6 @@ loop:   andi r7, r5, 15
         halt
 )";
 
-/** splitmix64 finalizer for per-run seed derivation. */
-uint64_t
-mix64(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /** The constant the harness plants in node @p m's slot @p j: any
  * fixed function of (m, j) works — it only has to be the SAME in
  * golden and injected runs. */
@@ -91,31 +81,21 @@ constantFor(unsigned m, unsigned j)
 
 } // namespace
 
-MeshCampaignRunner::MeshCampaignRunner(const MeshCampaignConfig &config)
-    : config_(config)
-{
-}
-
-MeshCampaignRunner::~MeshCampaignRunner()
-{
-    // Never leave a half-finished campaign armed behind us.
-    if (FaultInjector::armed())
-        FaultInjector::instance().disarm();
-}
-
 MeshRunResult
-MeshCampaignRunner::execute(const uint64_t *runSeed,
-                            std::vector<uint64_t> &nodeSigs)
+MeshWorkload::run(const MeshCampaignConfig &config,
+                  const sim::FaultConfig *faults,
+                  const std::vector<uint64_t> &golden,
+                  std::vector<uint64_t> &sigs)
 {
     noc::ShardConfig scfg;
-    scfg.mesh.dimX = config_.dimX;
-    scfg.mesh.dimY = config_.dimY;
-    scfg.mesh.dimZ = config_.dimZ;
+    scfg.mesh.dimX = config.dimX;
+    scfg.mesh.dimY = config.dimY;
+    scfg.mesh.dimZ = config.dimZ;
     scfg.node.cache.setsPerBank = 64; // small cache: host speed only
     scfg.machine.clusters = 1;
-    scfg.hostThreads = config_.hostThreads;
-    scfg.meshWatchdogCycles = config_.meshWatchdogCycles;
-    scfg.retrans = config_.retrans;
+    scfg.hostThreads = config.hostThreads;
+    scfg.meshWatchdogCycles = config.meshWatchdogCycles;
+    scfg.retrans = config.retrans;
     noc::ShardedMesh shard(scfg);
     const unsigned nodes = shard.nodeCount();
 
@@ -136,7 +116,7 @@ MeshCampaignRunner::execute(const uint64_t *runSeed,
             sim::fatal("mesh campaign: node %u has no thread slot", n);
         t->setReg(1, full.value);
         t->setReg(2, Word::fromInt(n));
-        t->setReg(3, Word::fromInt(config_.iterations));
+        t->setReg(3, Word::fromInt(config.iterations));
         t->setReg(4, Word::fromInt((n + 1) % nodes));
         // Plant the constant table and zero the result vector. The
         // pokes also demand-map both pages, so the post-run peek walk
@@ -150,17 +130,14 @@ MeshCampaignRunner::execute(const uint64_t *runSeed,
     }
 
     auto &inj = FaultInjector::instance();
-    if (runSeed) {
-        sim::FaultConfig fc = config_.faults;
-        fc.seed = *runSeed;
-        inj.arm(fc);
-    }
+    if (faults)
+        inj.arm(*faults);
 
-    shard.run(config_.maxCycles);
+    shard.run(config.maxCycles);
 
     MeshRunResult r;
     r.cycles = shard.cycle();
-    if (runSeed) {
+    if (faults) {
         r.injections = inj.injectedTotal();
         inj.disarm();
     }
@@ -174,12 +151,9 @@ MeshCampaignRunner::execute(const uint64_t *runSeed,
     // included) plus a clean-completion bit. Deliberately NO cycle
     // counts — a detoured run is slower but must still compare equal.
     bool survivorFaulted = false;
-    uint64_t survivorsWrong = 0;
-    const std::vector<uint64_t> *golden =
-        goldenValid_ ? &goldenNodeSigs_ : nullptr;
     for (unsigned n = 0; n < nodes; ++n) {
         if (shard.nodeDead(n)) {
-            nodeSigs.push_back(0xdeadull); // placeholder, not compared
+            sigs.push_back(0xdeadull); // placeholder, not compared
             continue;
         }
         r.unreachableFaults += shard.node(n).unreachableFaults();
@@ -189,140 +163,44 @@ MeshCampaignRunner::execute(const uint64_t *runSeed,
             if (r.firstFault == Fault::None)
                 r.firstFault = shard.machine(n).faultLog().front().fault;
         }
-        uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
-        auto mix = [&h](uint64_t v) {
-            h ^= v;
-            h *= 1099511628211ull;
-        };
+        Fnv1a h;
         const uint64_t base = noc::nodeBase(n);
-        for (unsigned j = 0; j < kResultWords; ++j) {
-            const Word w =
-                shard.node(n).peekWord(base + kResultOff + 8 * j);
-            mix(w.bits());
-            mix(w.isPointer() ? 0x9e3779b9ull : 0x51edull);
-        }
+        for (unsigned j = 0; j < kResultWords; ++j)
+            h.mix(shard.node(n).peekWord(base + kResultOff + 8 * j));
         bool halted = true;
         for (const isa::Thread &t : shard.machine(n).threads())
             if (t.state() != isa::ThreadState::Idle &&
                 t.state() != isa::ThreadState::Halted)
                 halted = false;
-        mix(halted ? 1 : 0);
-        nodeSigs.push_back(h);
+        h.mix(halted ? 1 : 0);
+        sigs.push_back(h.hash);
         // Only a CLEANLY completed survivor can be silently wrong: a
         // survivor that took a typed fault mid-loop legitimately left
         // a truncated result — that is the detected-fault class, not
         // corruption.
-        if (golden && halted && !faulted && h != (*golden)[n])
-            survivorsWrong++;
+        if (!golden.empty() && halted && !faulted &&
+            h.hash != golden[n])
+            r.survivorsWrong++;
     }
-    r.survivorsWrong = survivorsWrong;
 
-    if (!runSeed) {
-        r.outcome = MeshOutcome::Masked;
+    if (!faults) {
+        r.outcome = Outcome::Masked;
         return r;
     }
 
     // Precedence: hang > detected > sdc > degraded > masked. Total
     // mesh death counts as detected — fail-stop IS detection.
     if (hung)
-        r.outcome = MeshOutcome::Hang;
+        r.outcome = Outcome::CrashHang;
     else if (shard.survivors() == 0 || survivorFaulted)
-        r.outcome = MeshOutcome::DetectedFault;
-    else if (survivorsWrong > 0)
-        r.outcome = MeshOutcome::Sdc;
+        r.outcome = Outcome::DetectedFault;
+    else if (r.survivorsWrong > 0)
+        r.outcome = Outcome::Sdc;
     else if (shard.mesh().degraded())
-        r.outcome = MeshOutcome::Degraded;
+        r.outcome = Outcome::Corrected;
     else
-        r.outcome = MeshOutcome::Masked;
+        r.outcome = Outcome::Masked;
     return r;
-}
-
-const std::vector<uint64_t> &
-MeshCampaignRunner::goldenNodeSignatures()
-{
-    if (!goldenValid_) {
-        goldenNodeSigs_.clear();
-        const MeshRunResult g = execute(nullptr, goldenNodeSigs_);
-        goldenCycles_ = g.cycles;
-        goldenValid_ = true;
-    }
-    return goldenNodeSigs_;
-}
-
-uint64_t
-MeshCampaignRunner::goldenCycles()
-{
-    goldenNodeSignatures();
-    return goldenCycles_;
-}
-
-MeshRunResult
-MeshCampaignRunner::runOne(unsigned index)
-{
-    goldenNodeSignatures(); // ensure golden exists before arming
-    const uint64_t runSeed =
-        mix64(config_.seed ^
-              (0x9e3779b97f4a7c15ull * (uint64_t(index) + 1)));
-    std::vector<uint64_t> sigs;
-    return execute(&runSeed, sigs);
-}
-
-MeshCampaignTotals
-MeshCampaignRunner::runAll()
-{
-    MeshCampaignTotals totals;
-    totals.goldenCycles = goldenCycles();
-    results_.clear();
-    results_.reserve(config_.runs);
-
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    for (uint64_t g : goldenNodeSigs_)
-        mix(g);
-
-    for (unsigned i = 0; i < config_.runs; ++i) {
-        const uint64_t runSeed =
-            mix64(config_.seed ^
-                  (0x9e3779b97f4a7c15ull * (uint64_t(i) + 1)));
-        std::vector<uint64_t> sigs;
-        const MeshRunResult r = execute(&runSeed, sigs);
-        results_.push_back(r);
-        totals.perOutcome[unsigned(r.outcome)]++;
-        totals.totalInjections += r.injections;
-        totals.totalDeadNodes += r.deadNodes;
-        totals.totalDownLinks += r.downLinks;
-        totals.totalDetours += r.detours;
-        totals.totalUnreachableFaults += r.unreachableFaults;
-        mix(uint64_t(r.outcome));
-        mix(r.deadNodes);
-        mix(r.downLinks);
-        mix(r.survivorsWrong);
-        for (uint64_t s : sigs)
-            mix(s);
-    }
-    totals.runs = config_.runs;
-    campaignSignature_ = h;
-
-    // Publish the outcome table through the stats registry so the
-    // JSON export (and tools/statdiff.py) can diff campaigns.
-    stats_.counter("runs").set(totals.runs);
-    stats_.counter("injections").set(totals.totalInjections);
-    stats_.counter("dead_nodes").set(totals.totalDeadNodes);
-    stats_.counter("down_links").set(totals.totalDownLinks);
-    stats_.counter("detours").set(totals.totalDetours);
-    stats_.counter("unreachable_faults")
-        .set(totals.totalUnreachableFaults);
-    stats_.counter("golden_cycles").set(totals.goldenCycles);
-    for (unsigned o = 0; o < kMeshOutcomeCount; ++o) {
-        stats_
-            .counter(std::string("outcome.") +
-                     std::string(meshOutcomeName(MeshOutcome(o))))
-            .set(totals.perOutcome[o]);
-    }
-    return totals;
 }
 
 } // namespace gp::fault

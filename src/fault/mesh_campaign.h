@@ -1,21 +1,23 @@
 /**
  * @file
- * Deterministic multi-node fault campaign over the sharded mesh
- * engine (ISSUE 9 tentpole).
+ * The multi-node fault campaign over the sharded mesh engine
+ * (engine.h runs it).
  *
  * Where the single-machine campaign (campaign.h) strikes stored
  * bits and TLB entries, this campaign strikes the *fabric*: fail-stop
  * node deaths and persistent link failures, armed once per epoch at
  * the barrier so the failure schedule is a pure function of
  * (configuration, seed) — never of the host-thread count. Each run is
- * classified into a mesh-specific five-way taxonomy:
+ * classified into the shared five-way Outcome taxonomy under mesh
+ * labels:
  *
  *  - **masked**: no mesh fault fired this run; every node's result is
  *    bit-identical to the failure-free golden run;
- *  - **degraded-but-correct**: the fabric lost nodes or links, yet
- *    every *surviving* node's architectural result is bit-identical
- *    to its failure-free golden result — route-around, end-to-end
- *    retries, and dead-op dropping absorbed the damage;
+ *  - **degraded-but-correct** (Outcome::Corrected): the fabric lost
+ *    nodes or links, yet every *surviving* node's architectural
+ *    result is bit-identical to its failure-free golden result —
+ *    route-around, end-to-end retries, and dead-op dropping absorbed
+ *    the damage;
  *  - **detected-fault**: at least one survivor terminated with an
  *    architectural fault (typically NodeUnreachable: its remote home
  *    died and the bounded retry budget exhausted). Detection is the
@@ -24,8 +26,9 @@
  *  - **silent-data-corruption**: a survivor completed "successfully"
  *    but its result image differs from golden. The tripwire class:
  *    the campaign exists to prove this count stays zero;
- *  - **hang**: the run never completed — the distributed mesh
- *    watchdog (or the per-run cycle budget) had to end it.
+ *  - **hang** (Outcome::CrashHang): the run never completed — the
+ *    distributed mesh watchdog (or the per-run cycle budget) had to
+ *    end it.
  *
  * The workload makes per-node results *timing-independent*: each node
  * accumulates over constants the harness pre-poked into its ring
@@ -43,65 +46,26 @@
 #include <string_view>
 #include <vector>
 
+#include "fault/engine.h"
 #include "gp/fault.h"
-#include "noc/shard.h"
-#include "sim/faultinject.h"
-#include "sim/stats.h"
+#include "noc/retransmit.h"
 
 namespace gp::fault {
 
-/** Five-way outcome taxonomy of one injected mesh run. */
-enum class MeshOutcome : uint8_t
-{
-    Masked = 0,
-    Degraded, //!< failures happened; every survivor still correct
-    DetectedFault,
-    Sdc,
-    Hang,
-    Count,
-};
-
-inline constexpr unsigned kMeshOutcomeCount =
-    static_cast<unsigned>(MeshOutcome::Count);
-
-/** @return stable lower-case outcome name (stat/JSON key). */
-constexpr std::string_view
-meshOutcomeName(MeshOutcome o)
-{
-    switch (o) {
-      case MeshOutcome::Masked:
-        return "masked";
-      case MeshOutcome::Degraded:
-        return "degraded-but-correct";
-      case MeshOutcome::DetectedFault:
-        return "detected-fault";
-      case MeshOutcome::Sdc:
-        return "silent-data-corruption";
-      case MeshOutcome::Hang:
-        return "hang";
-      default:
-        return "unknown";
-    }
-}
-
 /** Full configuration of one mesh campaign. */
-struct MeshCampaignConfig
+struct MeshCampaignConfig : CampaignPlan
 {
-    /** Master seed; run r uses a seed derived from (seed, r). */
-    uint64_t seed = 1;
-    /** Number of injected runs. */
-    unsigned runs = 25;
+    MeshCampaignConfig()
+    {
+        runs = 25;
+        iterations = 48;
+    }
+
     /** Mesh geometry. */
     unsigned dimX = 2, dimY = 2, dimZ = 2;
     /** Host threads per simulated run (identical outcomes for any
      * value — the CI cross-check asserts exactly that). */
     unsigned hostThreads = 1;
-    /** Per-site injection rates. NodeFailStop / LinkDown rates are
-     * per-epoch opportunities; NoC transient sites may be armed too.
-     * The seed field is ignored (per-run seed installed instead). */
-    sim::FaultConfig faults;
-    /** Workload size: accumulate iterations per node. */
-    uint64_t iterations = 48;
     /** Per-run simulated-cycle budget. */
     uint64_t maxCycles = 400000;
     /** Distributed mesh watchdog window (cycles of zero mesh-wide
@@ -117,7 +81,7 @@ struct MeshCampaignConfig
 /** Everything observed about one mesh run. */
 struct MeshRunResult
 {
-    MeshOutcome outcome = MeshOutcome::Masked;
+    Outcome outcome = Outcome::Masked;
     uint64_t cycles = 0;        //!< simulated cycles executed
     uint64_t injections = 0;    //!< injector firings (all sites)
     uint64_t deadNodes = 0;     //!< fail-stopped nodes at run end
@@ -132,78 +96,50 @@ struct MeshRunResult
     bool meshWatchdog = false;      //!< distributed watchdog tripped
 };
 
-/** Aggregated campaign outcome table. */
-struct MeshCampaignTotals
+/** The ring-traffic workload, as Campaign<> requires it. Fault
+ * rates: NodeFailStop / LinkDown are per-epoch opportunities; NoC
+ * transient sites may be armed too. */
+struct MeshWorkload
 {
-    uint64_t perOutcome[kMeshOutcomeCount] = {};
-    uint64_t runs = 0;
-    uint64_t totalInjections = 0;
-    uint64_t totalDeadNodes = 0;
-    uint64_t totalDownLinks = 0;
-    uint64_t totalDetours = 0;
-    uint64_t totalUnreachableFaults = 0;
-    uint64_t goldenCycles = 0; //!< cycles of the failure-free run
+    using Config = MeshCampaignConfig;
+    using Result = MeshRunResult;
 
-    uint64_t
-    outcome(MeshOutcome o) const
+    static constexpr const char *kStatGroup = "mesh_campaign";
+    static constexpr std::string_view kLabels[kOutcomeCount] = {
+        "masked", "degraded-but-correct", "detected-fault",
+        "silent-data-corruption", "hang"};
+    static constexpr SummedCounter<MeshRunResult> kSummed[] = {
+        {"injections", &MeshRunResult::injections},
+        {"dead_nodes", &MeshRunResult::deadNodes},
+        {"down_links", &MeshRunResult::downLinks},
+        {"detours", &MeshRunResult::detours},
+        {"unreachable_faults", &MeshRunResult::unreachableFaults},
+    };
+
+    /** Appends one result signature per node (a placeholder for a
+     * dead one) to @p sigs. */
+    static MeshRunResult run(const MeshCampaignConfig &config,
+                             const sim::FaultConfig *faults,
+                             const std::vector<uint64_t> &golden,
+                             std::vector<uint64_t> &sigs);
+
+    /** The failure set and SDC tally join the campaign signature. */
+    static void
+    digest(Fnv1a &h, const MeshRunResult &r)
     {
-        return perOutcome[static_cast<unsigned>(o)];
+        h.mix(r.deadNodes);
+        h.mix(r.downLinks);
+        h.mix(r.survivorsWrong);
     }
 };
 
 /**
- * Runs the ring-traffic workload under a mesh campaign configuration.
- * Owns a "mesh_campaign" stat group (outcome.*, runs, dead_nodes,
- * ...) feeding the registry JSON export, so tools/statdiff.py can
- * diff campaign outcome tables between builds.
+ * Runs the ring-traffic workload under a mesh campaign configuration;
+ * its "mesh_campaign" stat group (outcome.*, runs, dead_nodes, ...)
+ * feeds the registry JSON export. The campaign signature is identical
+ * for every hostThreads value — the CI t1-vs-t4 cross-check pins it.
  */
-class MeshCampaignRunner
-{
-  public:
-    explicit MeshCampaignRunner(const MeshCampaignConfig &config);
-    ~MeshCampaignRunner();
-
-    /** Per-node golden signatures (failure-free run; lazy). */
-    const std::vector<uint64_t> &goldenNodeSignatures();
-    uint64_t goldenCycles();
-
-    /** Execute run @p index (0-based) under its derived seed. */
-    MeshRunResult runOne(unsigned index);
-
-    /** Execute the whole campaign and aggregate. */
-    MeshCampaignTotals runAll();
-
-    /** Per-run results of the last runAll(). */
-    const std::vector<MeshRunResult> &results() const
-    {
-        return results_;
-    }
-
-    /**
-     * Deterministic digest of the whole campaign: per-run outcomes,
-     * failure sets, and per-survivor result signatures. Identical for
-     * every hostThreads value — the CI t1-vs-t4 cross-check pins it.
-     * Valid after runAll().
-     */
-    uint64_t campaignSignature() const { return campaignSignature_; }
-
-    const MeshCampaignConfig &config() const { return config_; }
-    sim::StatGroup &stats() { return stats_; }
-
-  private:
-    /** Execute the workload once; inject iff @p runSeed != nullptr.
-     * Appends per-node result signatures to @p nodeSigs. */
-    MeshRunResult execute(const uint64_t *runSeed,
-                          std::vector<uint64_t> &nodeSigs);
-
-    MeshCampaignConfig config_;
-    bool goldenValid_ = false;
-    std::vector<uint64_t> goldenNodeSigs_;
-    uint64_t goldenCycles_ = 0;
-    uint64_t campaignSignature_ = 0;
-    std::vector<MeshRunResult> results_;
-    sim::StatGroup stats_{"mesh_campaign"};
-};
+using MeshCampaignRunner = Campaign<MeshWorkload>;
 
 } // namespace gp::fault
 

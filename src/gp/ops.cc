@@ -122,135 +122,6 @@ withAddr(Word ptr, uint64_t new_addr)
 
 } // namespace
 
-Result<Word>
-lea(Word ptr, int64_t delta)
-{
-    GP_OP_COUNT(lea);
-    auto dec = decodeMutable(ptr);
-    if (!dec)
-        return Result<Word>::fail(dec.fault);
-
-    const uint64_t old_addr = dec.value.addr();
-    const uint64_t new_addr =
-        (old_addr + static_cast<uint64_t>(delta)) & kAddrMask;
-
-    if (Fault f = boundsCheck(old_addr, new_addr, dec.value.lenLog2());
-        f != Fault::None) {
-        GP_TRACE(Fault, sim::TraceManager::instance().cycle(), 0,
-                 "bounds-violation",
-                 "lea seg=[0x%llx,+0x%llx) perm=%s addr=0x%llx "
-                 "delta=%lld",
-                 (unsigned long long)dec.value.segmentBase(),
-                 (unsigned long long)dec.value.segmentBytes(),
-                 std::string(permName(dec.value.perm())).c_str(),
-                 (unsigned long long)old_addr, (long long)delta);
-        return Result<Word>::fail(countFault(f));
-    }
-    return Result<Word>::ok(withAddr(ptr, new_addr));
-}
-
-Result<Word>
-leab(Word ptr, int64_t delta)
-{
-    GP_OP_COUNT(leab);
-    auto dec = decodeMutable(ptr);
-    if (!dec)
-        return Result<Word>::fail(dec.fault);
-
-    const uint64_t base = dec.value.segmentBase();
-    const uint64_t new_addr =
-        (base + static_cast<uint64_t>(delta)) & kAddrMask;
-
-    if (Fault f = boundsCheck(base, new_addr, dec.value.lenLog2());
-        f != Fault::None) {
-        GP_TRACE(Fault, sim::TraceManager::instance().cycle(), 0,
-                 "bounds-violation",
-                 "leab seg=[0x%llx,+0x%llx) perm=%s delta=%lld",
-                 (unsigned long long)base,
-                 (unsigned long long)dec.value.segmentBytes(),
-                 std::string(permName(dec.value.perm())).c_str(),
-                 (long long)delta);
-        return Result<Word>::fail(countFault(f));
-    }
-    return Result<Word>::ok(withAddr(ptr, new_addr));
-}
-
-Result<Word>
-restrictPerm(Word ptr, Perm target)
-{
-    GP_OP_COUNT(restrictOp);
-    auto dec = decode(ptr);
-    if (!dec)
-        return Result<Word>::fail(countFault(dec.fault));
-    // Enter and key pointers may not be modified in any way (§2.1).
-    const Perm cur = dec.value.perm();
-    if (cur == Perm::Key || cur == Perm::EnterUser ||
-        cur == Perm::EnterPrivileged) {
-        return Result<Word>::fail(countFault(Fault::Immutable));
-    }
-    if (!permValid(uint64_t(target)))
-        return Result<Word>::fail(
-            countFault(Fault::InvalidPermission));
-    if (!strictSubset(cur, target))
-        return Result<Word>::fail(countFault(Fault::NotSubset));
-
-    const uint64_t bits =
-        (ptr.bits() & ~(kPermFieldMask << kPermShift)) |
-        (uint64_t(target) << kPermShift);
-    return Result<Word>::ok(Word::fromRawPointerBits(bits));
-}
-
-Result<Word>
-subseg(Word ptr, uint64_t new_len_log2)
-{
-    GP_OP_COUNT(subsegOp);
-    auto dec = decode(ptr);
-    if (!dec)
-        return Result<Word>::fail(countFault(dec.fault));
-    const Perm cur = dec.value.perm();
-    if (cur == Perm::Key || cur == Perm::EnterUser ||
-        cur == Perm::EnterPrivileged) {
-        return Result<Word>::fail(countFault(Fault::Immutable));
-    }
-    if (new_len_log2 >= dec.value.lenLog2())
-        return Result<Word>::fail(countFault(Fault::NotSmaller));
-
-    const uint64_t bits =
-        (ptr.bits() & ~(kLenFieldMask << kLenShift)) |
-        (new_len_log2 << kLenShift);
-    return Result<Word>::ok(Word::fromRawPointerBits(bits));
-}
-
-Word
-setptr(uint64_t bits)
-{
-    GP_OP_COUNT(setptrOp);
-    return Word::fromRawPointerBits(bits);
-}
-
-uint64_t
-ispointer(Word w)
-{
-    return w.isPointer() ? 1 : 0;
-}
-
-Result<Word>
-ptrToInt(Word ptr)
-{
-    auto dec = decodeMutable(ptr);
-    if (!dec)
-        return Result<Word>::fail(dec.fault);
-    return Result<Word>::ok(Word::fromInt(dec.value.offset()));
-}
-
-Result<Word>
-intToPtr(Word seg_ptr, uint64_t offset)
-{
-    // LEAB with the integer as the offset; the masked comparator
-    // faults when the offset does not fit the segment.
-    return leab(seg_ptr, static_cast<int64_t>(offset));
-}
-
 Word
 leaUnchecked(Word ptr, int64_t delta)
 {
@@ -298,6 +169,123 @@ Word
 intToPtrUnchecked(Word seg_ptr, uint64_t offset)
 {
     return leabUnchecked(seg_ptr, static_cast<int64_t>(offset));
+}
+
+Result<Word>
+lea(Word ptr, int64_t delta)
+{
+    GP_OP_COUNT(lea);
+    auto dec = decodeMutable(ptr);
+    if (!dec)
+        return Result<Word>::fail(dec.fault);
+
+    const uint64_t old_addr = dec.value.addr();
+    const Word moved = leaUnchecked(ptr, delta);
+    if (Fault f = boundsCheck(old_addr, moved.addr(), dec.value.lenLog2());
+        f != Fault::None) {
+        GP_TRACE(Fault, sim::TraceManager::instance().cycle(), 0,
+                 "bounds-violation",
+                 "lea seg=[0x%llx,+0x%llx) perm=%s addr=0x%llx "
+                 "delta=%lld",
+                 (unsigned long long)dec.value.segmentBase(),
+                 (unsigned long long)dec.value.segmentBytes(),
+                 std::string(permName(dec.value.perm())).c_str(),
+                 (unsigned long long)old_addr, (long long)delta);
+        return Result<Word>::fail(countFault(f));
+    }
+    return Result<Word>::ok(moved);
+}
+
+Result<Word>
+leab(Word ptr, int64_t delta)
+{
+    GP_OP_COUNT(leab);
+    auto dec = decodeMutable(ptr);
+    if (!dec)
+        return Result<Word>::fail(dec.fault);
+
+    const uint64_t base = dec.value.segmentBase();
+    const Word moved = leabUnchecked(ptr, delta);
+    if (Fault f = boundsCheck(base, moved.addr(), dec.value.lenLog2());
+        f != Fault::None) {
+        GP_TRACE(Fault, sim::TraceManager::instance().cycle(), 0,
+                 "bounds-violation",
+                 "leab seg=[0x%llx,+0x%llx) perm=%s delta=%lld",
+                 (unsigned long long)base,
+                 (unsigned long long)dec.value.segmentBytes(),
+                 std::string(permName(dec.value.perm())).c_str(),
+                 (long long)delta);
+        return Result<Word>::fail(countFault(f));
+    }
+    return Result<Word>::ok(moved);
+}
+
+Result<Word>
+restrictPerm(Word ptr, Perm target)
+{
+    GP_OP_COUNT(restrictOp);
+    auto dec = decode(ptr);
+    if (!dec)
+        return Result<Word>::fail(countFault(dec.fault));
+    // Enter and key pointers may not be modified in any way (§2.1).
+    const Perm cur = dec.value.perm();
+    if (cur == Perm::Key || cur == Perm::EnterUser ||
+        cur == Perm::EnterPrivileged) {
+        return Result<Word>::fail(countFault(Fault::Immutable));
+    }
+    if (!permValid(uint64_t(target)))
+        return Result<Word>::fail(
+            countFault(Fault::InvalidPermission));
+    if (!strictSubset(cur, target))
+        return Result<Word>::fail(countFault(Fault::NotSubset));
+    return Result<Word>::ok(restrictUnchecked(ptr, target));
+}
+
+Result<Word>
+subseg(Word ptr, uint64_t new_len_log2)
+{
+    GP_OP_COUNT(subsegOp);
+    auto dec = decode(ptr);
+    if (!dec)
+        return Result<Word>::fail(countFault(dec.fault));
+    const Perm cur = dec.value.perm();
+    if (cur == Perm::Key || cur == Perm::EnterUser ||
+        cur == Perm::EnterPrivileged) {
+        return Result<Word>::fail(countFault(Fault::Immutable));
+    }
+    if (new_len_log2 >= dec.value.lenLog2())
+        return Result<Word>::fail(countFault(Fault::NotSmaller));
+    return Result<Word>::ok(subsegUnchecked(ptr, new_len_log2));
+}
+
+Word
+setptr(uint64_t bits)
+{
+    GP_OP_COUNT(setptrOp);
+    return Word::fromRawPointerBits(bits);
+}
+
+uint64_t
+ispointer(Word w)
+{
+    return w.isPointer() ? 1 : 0;
+}
+
+Result<Word>
+ptrToInt(Word ptr)
+{
+    auto dec = decodeMutable(ptr);
+    if (!dec)
+        return Result<Word>::fail(dec.fault);
+    return Result<Word>::ok(ptrToIntUnchecked(ptr));
+}
+
+Result<Word>
+intToPtr(Word seg_ptr, uint64_t offset)
+{
+    // LEAB with the integer as the offset; the masked comparator
+    // faults when the offset does not fit the segment.
+    return leab(seg_ptr, static_cast<int64_t>(offset));
 }
 
 namespace {
@@ -397,11 +385,7 @@ enterToExecute(Word ptr)
       default:
         return Result<Word>::fail(countFault(Fault::NotEnterPointer));
     }
-
-    const uint64_t bits =
-        (ptr.bits() & ~(kPermFieldMask << kPermShift)) |
-        (uint64_t(target) << kPermShift);
-    return Result<Word>::ok(Word::fromRawPointerBits(bits));
+    return Result<Word>::ok(restrictUnchecked(ptr, target));
 }
 
 Result<Word>

@@ -96,13 +96,14 @@ Fault checkAccess(Word ptr, Access kind, unsigned size_bytes);
 /**
  * Unchecked fast paths for statically-proven pointer operations
  * (gpsim --elide-checks=verified; see docs/VERIFIER.md "Proof export
- * & check elision"). Each produces a result bit-identical to the
- * corresponding checked operation on its non-faulting path; calling
- * one where the checked operation would fault is a soundness bug —
- * the verifier's kElideNeverFaults verdict is the proof obligation
- * that makes the call legal. The checking-hardware OpStats counters
- * are deliberately not bumped (the check never ran); the machine's
- * elide counters account for the skipped work instead.
+ * & check elision"). Each checked operation is its checks followed
+ * by its twin here, so the two agree bit for bit whenever the checks
+ * pass; calling one where the checked operation would fault is a
+ * soundness bug — the verifier's kElideNeverFaults verdict is the
+ * proof obligation that makes the call legal. The checking-hardware
+ * OpStats counters are deliberately not bumped (the check never
+ * ran); the machine's elide counters account for the skipped work
+ * instead.
  */
 Word leaUnchecked(Word ptr, int64_t delta);
 Word leabUnchecked(Word ptr, int64_t delta);

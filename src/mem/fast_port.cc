@@ -36,16 +36,10 @@ FastPort::portLoad(Word ptr, unsigned size, uint64_t now,
     if (!resolve(ptr, gp::Access::Load, size, elide_check, acc,
                  &paddr))
         return acc;
-    if (size == 8) {
-        acc.data = mem_.phys().readWord(paddr);
-    } else {
-        // Sub-word extraction mirrors MemorySystem::load exactly:
-        // read the containing word, shift, mask, and drop the tag.
-        const Word w = mem_.phys().readWord(paddr & ~uint64_t(7));
-        const unsigned shift = unsigned(paddr & 7) * 8;
-        const uint64_t mask = (uint64_t(1) << (size * 8)) - 1;
-        acc.data = Word::fromInt((w.bits() >> shift) & mask);
-    }
+    // Full words keep their tag; sub-word loads never expose it.
+    acc.data = size == 8
+                   ? mem_.phys().readWord(paddr)
+                   : Word::fromInt(mem_.phys().readBytes(paddr, size));
     return acc;
 }
 

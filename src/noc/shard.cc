@@ -34,14 +34,10 @@ ShardedMesh::ShardedMesh(const ShardConfig &config)
             std::make_unique<isa::Machine>(mcfg, *nodes_.back()));
     }
 
-    // Lookahead: an epoch may not exceed the minimum inter-node
-    // message latency, or a message could be due before the barrier
-    // that delivers it.
-    const uint64_t lookahead =
-        std::max<uint64_t>(1, mesh_.minMessageLatency());
-    horizon_ = config_.epochHorizon == 0
-                   ? lookahead
-                   : std::min(config_.epochHorizon, lookahead);
+    // An epoch spans the lookahead, the minimum inter-node message
+    // latency: any longer and a message could be due before the
+    // barrier that delivers it.
+    horizon_ = std::max<uint64_t>(1, mesh_.minMessageLatency());
 
     hostThreads_ = std::max(1u, std::min(config_.hostThreads, nodes));
 

@@ -71,13 +71,6 @@ struct ShardConfig
      * on the calling thread; clamped to the node count. Results are
      * identical for every value. */
     unsigned hostThreads = 1;
-    /** Cycles per epoch; 0 derives Mesh::minMessageLatency(). Must
-     * not exceed the derived lookahead — larger values are clamped.
-     * Smaller values are legal but change the canonical schedule
-     * (split transactions complete at barriers), so the horizon is
-     * part of the configuration a signature is pinned to; for any
-     * fixed horizon results stay identical across thread counts. */
-    uint64_t epochHorizon = 0;
     /** Distributed (mesh-wide) quiescence watchdog: when nonzero,
      * trip once no surviving node has made progress (retired an
      * instruction or taken a fault) for this many simulated cycles

@@ -58,12 +58,12 @@ TEST(Campaign, SameSeedSameCampaignBitForBit)
     cc.faults.rate[unsigned(sim::FaultSite::TlbCorrupt)] = 2e-4;
 
     CampaignRunner a(cc), b(cc);
-    const CampaignTotals ta = a.runAll();
-    const CampaignTotals tb = b.runAll();
+    const auto ta = a.runAll();
+    const auto tb = b.runAll();
 
     for (unsigned o = 0; o < kOutcomeCount; ++o)
         EXPECT_EQ(ta.perOutcome[o], tb.perOutcome[o]);
-    EXPECT_EQ(ta.totalInjections, tb.totalInjections);
+    EXPECT_EQ(ta.sum.injections, tb.sum.injections);
     ASSERT_EQ(a.results().size(), b.results().size());
     for (size_t i = 0; i < a.results().size(); ++i) {
         const RunResult &ra = a.results()[i];
@@ -72,6 +72,27 @@ TEST(Campaign, SameSeedSameCampaignBitForBit)
         EXPECT_EQ(ra.cycles, rb.cycles) << "run " << i;
         EXPECT_EQ(ra.signature, rb.signature) << "run " << i;
         EXPECT_EQ(ra.injections, rb.injections) << "run " << i;
+    }
+}
+
+TEST(Campaign, RunOneReproducesRunAll)
+{
+    CampaignConfig cc;
+    cc.runs = 8;
+    cc.seed = 12345;
+    cc.faults.rate[unsigned(sim::FaultSite::MemDataBit)] = 5e-4;
+    cc.faults.rate[unsigned(sim::FaultSite::MemTagBit)] = 2e-4;
+
+    CampaignRunner runner(cc);
+    runner.runAll();
+    for (unsigned i = 0; i < cc.runs; ++i) {
+        const RunResult again = runner.runOne(i);
+        const RunResult &r = runner.results()[i];
+        EXPECT_EQ(again.outcome, r.outcome) << "run " << i;
+        EXPECT_EQ(again.cycles, r.cycles) << "run " << i;
+        EXPECT_EQ(again.injections, r.injections) << "run " << i;
+        EXPECT_EQ(again.signature, r.signature) << "run " << i;
+        EXPECT_EQ(again.firstFault, r.firstFault) << "run " << i;
     }
 }
 
@@ -99,9 +120,9 @@ TEST(Campaign, ZeroRateCampaignIsAllMasked)
 {
     CampaignConfig cc;
     cc.runs = 5;
-    const CampaignTotals t = CampaignRunner(cc).runAll();
+    const auto t = CampaignRunner(cc).runAll();
     EXPECT_EQ(t.outcome(Outcome::Masked), 5u);
-    EXPECT_EQ(t.totalInjections, 0u);
+    EXPECT_EQ(t.sum.injections, 0u);
 }
 
 TEST(Campaign, TagFlipsAreDetectedNotJustSilent)
@@ -113,7 +134,7 @@ TEST(Campaign, TagFlipsAreDetectedNotJustSilent)
     cc.runs = 60;
     cc.seed = 42;
     cc.faults.rate[unsigned(sim::FaultSite::MemTagBit)] = 3e-4;
-    const CampaignTotals t = CampaignRunner(cc).runAll();
+    const auto t = CampaignRunner(cc).runAll();
     EXPECT_GT(t.outcome(Outcome::DetectedFault), 0u);
     EXPECT_GT(t.outcome(Outcome::DetectedFault),
               t.outcome(Outcome::Sdc));
@@ -128,9 +149,9 @@ TEST(Campaign, SecdedEliminatesSingleBitSdc)
     cc.faults.rate[unsigned(sim::FaultSite::MemTagBit)] = 2e-4;
 
     cc.ecc = mem::EccMode::None;
-    const CampaignTotals off = CampaignRunner(cc).runAll();
+    const auto off = CampaignRunner(cc).runAll();
     cc.ecc = mem::EccMode::Secded;
-    const CampaignTotals on = CampaignRunner(cc).runAll();
+    const auto on = CampaignRunner(cc).runAll();
 
     EXPECT_GT(off.outcome(Outcome::Sdc) +
                   off.outcome(Outcome::DetectedFault),
@@ -140,7 +161,7 @@ TEST(Campaign, SecdedEliminatesSingleBitSdc)
         << "SECDED must eliminate single-bit SDC";
     EXPECT_EQ(on.outcome(Outcome::DetectedFault), 0u)
         << "single-bit strikes are correctable, not just detectable";
-    EXPECT_GT(on.totalEccCorrected, 0u);
+    EXPECT_GT(on.sum.eccCorrected, 0u);
 }
 
 TEST(Campaign, WalkRetriesAbsorbTransients)
@@ -150,9 +171,9 @@ TEST(Campaign, WalkRetriesAbsorbTransients)
     cc.seed = 3;
     cc.faults.rate[unsigned(sim::FaultSite::PtWalkTransient)] = 0.1;
 
-    const CampaignTotals bare = CampaignRunner(cc).runAll();
+    const auto bare = CampaignRunner(cc).runAll();
     cc.walkRetries = 3;
-    const CampaignTotals hard = CampaignRunner(cc).runAll();
+    const auto hard = CampaignRunner(cc).runAll();
 
     EXPECT_GT(bare.outcome(Outcome::DetectedFault), 0u)
         << "unretried transient walks must fault";
@@ -171,14 +192,14 @@ TEST(Campaign, AllFiveOutcomeClassesReachable)
     cc.seed = 42;
     cc.watchdogCycles = 30000;
     cc.faults.rate[unsigned(sim::FaultSite::MemDataBit)] = 3e-4;
-    const CampaignTotals off = CampaignRunner(cc).runAll();
+    const auto off = CampaignRunner(cc).runAll();
     EXPECT_GT(off.outcome(Outcome::Masked), 0u);
     EXPECT_GT(off.outcome(Outcome::DetectedFault), 0u);
     EXPECT_GT(off.outcome(Outcome::Sdc), 0u);
     EXPECT_GT(off.outcome(Outcome::CrashHang), 0u);
 
     cc.ecc = mem::EccMode::Secded;
-    const CampaignTotals on = CampaignRunner(cc).runAll();
+    const auto on = CampaignRunner(cc).runAll();
     EXPECT_GT(on.outcome(Outcome::Corrected), 0u);
 }
 

@@ -40,22 +40,22 @@ TEST(MeshCampaign, GoldenRunIsDeterministicAndFailureFree)
     MeshCampaignRunner a(cc), b(cc);
     EXPECT_GT(a.goldenCycles(), 0u);
     EXPECT_EQ(a.goldenCycles(), b.goldenCycles());
-    ASSERT_EQ(a.goldenNodeSignatures().size(), 4u);
-    EXPECT_EQ(a.goldenNodeSignatures(), b.goldenNodeSignatures());
+    ASSERT_EQ(a.goldenSignatures().size(), 4u);
+    EXPECT_EQ(a.goldenSignatures(), b.goldenSignatures());
     // Distinct per-node workloads: signatures must not collide.
-    EXPECT_NE(a.goldenNodeSignatures()[0],
-              a.goldenNodeSignatures()[1]);
+    EXPECT_NE(a.goldenSignatures()[0],
+              a.goldenSignatures()[1]);
 }
 
 TEST(MeshCampaign, ZeroRatesMeansEveryRunMasked)
 {
     MeshCampaignConfig cc = smallConfig();
     MeshCampaignRunner runner(cc);
-    const MeshCampaignTotals t = runner.runAll();
+    const auto t = runner.runAll();
     EXPECT_EQ(t.runs, cc.runs);
-    EXPECT_EQ(t.outcome(MeshOutcome::Masked), cc.runs);
-    EXPECT_EQ(t.totalInjections, 0u);
-    EXPECT_EQ(t.totalDeadNodes, 0u);
+    EXPECT_EQ(t.outcome(Outcome::Masked), cc.runs);
+    EXPECT_EQ(t.sum.injections, 0u);
+    EXPECT_EQ(t.sum.deadNodes, 0u);
 }
 
 TEST(MeshCampaign, SameConfigSameSignatureBitForBit)
@@ -66,10 +66,10 @@ TEST(MeshCampaign, SameConfigSameSignatureBitForBit)
     cc.faults.rate[unsigned(sim::FaultSite::LinkDown)] = 2e-3;
 
     MeshCampaignRunner a(cc), b(cc);
-    const MeshCampaignTotals ta = a.runAll();
-    const MeshCampaignTotals tb = b.runAll();
+    const auto ta = a.runAll();
+    const auto tb = b.runAll();
     EXPECT_EQ(a.campaignSignature(), b.campaignSignature());
-    for (unsigned o = 0; o < kMeshOutcomeCount; ++o)
+    for (unsigned o = 0; o < kOutcomeCount; ++o)
         EXPECT_EQ(ta.perOutcome[o], tb.perOutcome[o]);
     ASSERT_EQ(a.results().size(), b.results().size());
     for (size_t i = 0; i < a.results().size(); ++i) {
@@ -77,6 +77,27 @@ TEST(MeshCampaign, SameConfigSameSignatureBitForBit)
         EXPECT_EQ(a.results()[i].deadNodes,
                   b.results()[i].deadNodes);
         EXPECT_EQ(a.results()[i].cycles, b.results()[i].cycles);
+    }
+}
+
+TEST(MeshCampaign, RunOneReproducesRunAll)
+{
+    MeshCampaignConfig cc = smallConfig();
+    cc.seed = 99;
+    cc.faults.rate[unsigned(sim::FaultSite::NodeFailStop)] = 1e-3;
+    cc.faults.rate[unsigned(sim::FaultSite::LinkDown)] = 2e-3;
+
+    MeshCampaignRunner runner(cc);
+    runner.runAll();
+    for (unsigned i = 0; i < cc.runs; ++i) {
+        const MeshRunResult again = runner.runOne(i);
+        const MeshRunResult &r = runner.results()[i];
+        EXPECT_EQ(again.outcome, r.outcome) << "run " << i;
+        EXPECT_EQ(again.cycles, r.cycles) << "run " << i;
+        EXPECT_EQ(again.injections, r.injections) << "run " << i;
+        EXPECT_EQ(again.deadNodes, r.deadNodes) << "run " << i;
+        EXPECT_EQ(again.downLinks, r.downLinks) << "run " << i;
+        EXPECT_EQ(again.survivorsWrong, r.survivorsWrong) << "run " << i;
     }
 }
 
@@ -109,15 +130,15 @@ TEST(MeshCampaign, FailStopIsDetectedNeverSilent)
     cc.faults.rate[unsigned(sim::FaultSite::NodeFailStop)] = 2e-3;
 
     MeshCampaignRunner runner(cc);
-    const MeshCampaignTotals t = runner.runAll();
-    EXPECT_GT(t.totalInjections, 0u)
+    const auto t = runner.runAll();
+    EXPECT_GT(t.sum.injections, 0u)
         << "rate chosen so the campaign actually injects";
-    EXPECT_GT(t.outcome(MeshOutcome::DetectedFault), 0u);
-    EXPECT_EQ(t.outcome(MeshOutcome::Sdc), 0u);
-    EXPECT_EQ(t.outcome(MeshOutcome::Hang), 0u);
+    EXPECT_GT(t.outcome(Outcome::DetectedFault), 0u);
+    EXPECT_EQ(t.outcome(Outcome::Sdc), 0u);
+    EXPECT_EQ(t.outcome(Outcome::CrashHang), 0u);
     for (const MeshRunResult &r : runner.results()) {
         EXPECT_EQ(r.survivorsWrong, 0u);
-        if (r.outcome == MeshOutcome::DetectedFault) {
+        if (r.outcome == Outcome::DetectedFault) {
             EXPECT_EQ(r.firstFault, Fault::NodeUnreachable);
         }
     }
@@ -132,13 +153,13 @@ TEST(MeshCampaign, LinkFailuresAreAbsorbedByRerouting)
     cc.faults.rate[unsigned(sim::FaultSite::LinkDown)] = 4e-3;
 
     MeshCampaignRunner runner(cc);
-    const MeshCampaignTotals t = runner.runAll();
-    EXPECT_GT(t.totalDownLinks, 0u);
-    EXPECT_EQ(t.totalDeadNodes, 0u);
-    EXPECT_EQ(t.outcome(MeshOutcome::Sdc), 0u);
-    EXPECT_EQ(t.outcome(MeshOutcome::Hang), 0u);
-    EXPECT_GT(t.outcome(MeshOutcome::Degraded) +
-                  t.outcome(MeshOutcome::DetectedFault),
+    const auto t = runner.runAll();
+    EXPECT_GT(t.sum.downLinks, 0u);
+    EXPECT_EQ(t.sum.deadNodes, 0u);
+    EXPECT_EQ(t.outcome(Outcome::Sdc), 0u);
+    EXPECT_EQ(t.outcome(Outcome::CrashHang), 0u);
+    EXPECT_GT(t.outcome(Outcome::Corrected) +
+                  t.outcome(Outcome::DetectedFault),
               0u);
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "gp/ops.h"
 
 namespace gp {
@@ -209,6 +211,54 @@ TEST(Casts, IntToPtrOutOfSegmentFaults)
 {
     Word seg = rwPtr(12, 0x10000);
     EXPECT_EQ(intToPtr(seg, 0x1000).fault, Fault::BoundsViolation);
+}
+
+/**
+ * Check elision swaps a checked pointer op for its unchecked twin
+ * wherever the verifier proves the check passes. Over a seeded corpus
+ * of valid pointers and operands, every time the checked op succeeds
+ * the twin must return the identical word: bits and tag.
+ */
+TEST(Unchecked, TwinsMatchCheckedOpsWheneverTheySucceed)
+{
+    std::mt19937_64 rng(0x6c6561);
+    unsigned matched[6] = {};
+    unsigned i = 0;
+    auto check = [&](unsigned pair, const Result<Word> &checked,
+                     Word twin) {
+        if (!checked)
+            return;
+        ++matched[pair];
+        EXPECT_EQ(checked.value.bits(), twin.bits())
+            << "pair " << pair << ", case " << i;
+        EXPECT_EQ(checked.value.isPointer(), twin.isPointer())
+            << "pair " << pair << ", case " << i;
+    };
+    for (; i < 20000; ++i) {
+        const uint64_t len = rng() % (kAddrBits + 1);
+        const auto made =
+            makePointer(Perm(rng() % 8), len, rng() & kAddrMask);
+        if (!made)
+            continue;
+        const Word p = made.value;
+        // Operands within about one segment length of the pointer, so
+        // both successes and bounds faults are common.
+        const uint64_t span = uint64_t(1) << (len + 1);
+        const int64_t delta = int64_t(rng() % span - span / 2);
+        const uint64_t offset = rng() % span;
+        const Perm target = Perm(rng() % 16);
+        const uint64_t newLen = rng() % (len + 1);
+
+        check(0, lea(p, delta), leaUnchecked(p, delta));
+        check(1, leab(p, delta), leabUnchecked(p, delta));
+        check(2, restrictPerm(p, target), restrictUnchecked(p, target));
+        check(3, subseg(p, newLen), subsegUnchecked(p, newLen));
+        check(4, ptrToInt(p), ptrToIntUnchecked(p));
+        check(5, intToPtr(p, offset), intToPtrUnchecked(p, offset));
+    }
+    // The corpus must reach every pair's success path.
+    for (unsigned n : matched)
+        EXPECT_GT(n, 100u);
 }
 
 TEST(Setptr, MintsArbitraryPointers)

@@ -298,8 +298,8 @@ TEST(ElideCampaign, OutcomeTableIdenticalWithElision)
 
     fault::CampaignRunner off(cc);
     fault::CampaignRunner on(ccElide);
-    const fault::CampaignTotals a = off.runAll();
-    const fault::CampaignTotals b = on.runAll();
+    const auto a = off.runAll();
+    const auto b = on.runAll();
 
     // Injected runs auto-disable elision, so the whole taxonomy — and
     // the per-run records behind it — must be bit-identical.
@@ -307,7 +307,7 @@ TEST(ElideCampaign, OutcomeTableIdenticalWithElision)
     for (unsigned o = 0; o < fault::kOutcomeCount; ++o)
         EXPECT_EQ(a.perOutcome[o], b.perOutcome[o])
             << outcomeName(fault::Outcome(o));
-    EXPECT_EQ(a.totalInjections, b.totalInjections);
+    EXPECT_EQ(a.sum.injections, b.sum.injections);
     ASSERT_EQ(off.results().size(), on.results().size());
     for (size_t i = 0; i < off.results().size(); ++i) {
         EXPECT_EQ(off.results()[i].signature,

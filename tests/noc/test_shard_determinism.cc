@@ -124,24 +124,9 @@ TEST(ShardDeterminism, RepeatedRunsAreIdentical)
     EXPECT_EQ(a.signature, b.signature);
 }
 
-TEST(ShardDeterminism, ShortHorizonStillThreadCountInvariant)
+TEST(ShardDeterminism, DefaultHorizonIsLookahead)
 {
-    // The horizon is part of the canonical schedule (remote split
-    // transactions complete at barriers), so changing it changes the
-    // signature — but for any fixed horizon the result must still be
-    // identical across host-thread counts.
-    ShardConfig one = meshConfig(1);
-    one.epochHorizon = 1;
-    ShardConfig four = meshConfig(4);
-    four.epochHorizon = 1;
-    EXPECT_EQ(runTraffic(one).signature, runTraffic(four).signature);
-}
-
-TEST(ShardDeterminism, OversizedHorizonClampedToLookahead)
-{
-    ShardConfig cfg = meshConfig(1);
-    cfg.epochHorizon = 1 << 20;
-    ShardedMesh shard(cfg);
+    ShardedMesh shard(meshConfig(1));
     EXPECT_EQ(shard.epochHorizon(), shard.mesh().minMessageLatency());
 }
 

@@ -2,20 +2,17 @@
  * @file
  * gpfault — deterministic fault-injection campaign driver.
  *
- * Runs the standard campaign workload (see src/fault/campaign.cc)
- * many times under per-run derived seeds, injecting hardware faults
- * at the configured sites/rates, and prints the five-way coverage
- * table {masked, corrected, detected-fault, silent-data-corruption,
- * crash-hang}. The whole campaign is a pure function of the
- * configuration and master seed: same flags, same table, bit for bit.
- *
- * Usage:
- *   gpfault [--runs N] [--seed N] [--iterations N]
- *           [--ecc=off|parity|secded] [--walk-retries N]
- *           [--rate SITE=R]... [--burst-max-bits N]
- *           [--watchdog-cycles N] [--stats-json=FILE]
- *           [--elide-checks] [--verbose] [--list-sites]
- *           [--expect-zero-sdc] [--expect-detected]
+ * Runs one campaign (src/fault/engine.h) and prints its five-way
+ * outcome table. The default workload is one machine under stored-bit
+ * and TLB faults, classified {masked, corrected, detected-fault,
+ * silent-data-corruption, crash-hang}. --mesh X,Y,Z runs the
+ * multi-node workload instead: fail-stop node deaths and persistent
+ * link failures over the sharded mesh engine, classified {masked,
+ * degraded-but-correct, detected-fault, silent-data-corruption,
+ * hang}; its report ends with a campaign signature, and everything
+ * after the first line is bit-identical for every --threads value.
+ * Either campaign is a pure function of the flags (see usage()): same
+ * flags, same report, bit for bit.
  *
  * The --expect-* flags turn the driver into a CI tripwire: the
  * headline result of the paper's tag-bit design is that a flipped
@@ -24,19 +21,13 @@
  * must find detections, and with SECDED armed
  *   gpfault --ecc=secded --rate mem-data-bit=2e-4 --expect-zero-sdc
  * must classify zero runs as silent data corruption.
- *
- * The mesh arm (--mesh X,Y,Z) runs the multi-node campaign instead:
- * fail-stop node deaths and persistent link failures over the
- * sharded mesh engine, classified {masked, degraded-but-correct,
- * detected-fault, silent-data-corruption, hang}. The printed
- * "mesh campaign signature" is bit-identical for every --threads
- * value — CI cross-checks --threads 1 against --threads 4.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "fault/campaign.h"
 #include "fault/mesh_campaign.h"
@@ -51,13 +42,13 @@ namespace {
 
 struct Options
 {
+    bool mesh = false; //!< --mesh X,Y,Z given: run the mesh campaign
     fault::CampaignConfig campaign;
+    fault::MeshCampaignConfig meshCampaign;
     std::string statsJson;
     bool verbose = false;
     bool expectZeroSdc = false;
     bool expectDetected = false;
-    bool mesh = false; //!< --mesh X,Y,Z given: run the mesh campaign
-    fault::MeshCampaignConfig meshCampaign;
 };
 
 void
@@ -66,9 +57,10 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
-        "  --runs N           injected runs (default 100)\n"
+        "  --runs N           injected runs (default 100; mesh 25)\n"
         "  --seed N           master seed (default 1)\n"
-        "  --iterations N     workload loop iterations (default 150)\n"
+        "  --iterations N     workload loop iterations (default 150;\n"
+        "                     mesh 48)\n"
         "  --ecc=MODE         off | parity | secded (default off)\n"
         "  --walk-retries N   transient page-walk retries (default 0)\n"
         "  --rate SITE=R      per-opportunity fault rate at SITE\n"
@@ -131,6 +123,15 @@ bool
 parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
 {
     exitEarly = false;
+    // --mesh picks the workload, and with it the config that the
+    // shared flags (--runs, --seed, --iterations, --rate, ...) fill.
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        opts.mesh |= arg == "--mesh" || arg.rfind("--mesh=", 0) == 0;
+    }
+    fault::CampaignPlan &plan =
+        opts.mesh ? static_cast<fault::CampaignPlan &>(opts.meshCampaign)
+                  : opts.campaign;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -175,18 +176,15 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             continue;
         }
         if (valueOf("--runs", value)) {
-            opts.campaign.runs = unsigned(std::stoul(value));
-            opts.meshCampaign.runs = opts.campaign.runs;
+            plan.runs = unsigned(std::stoul(value));
             continue;
         }
         if (valueOf("--seed", value)) {
-            opts.campaign.seed = std::stoull(value);
-            opts.meshCampaign.seed = opts.campaign.seed;
+            plan.seed = std::stoull(value);
             continue;
         }
         if (valueOf("--iterations", value)) {
-            opts.campaign.iterations = std::stoull(value);
-            opts.meshCampaign.iterations = opts.campaign.iterations;
+            plan.iterations = std::stoull(value);
             continue;
         }
         if (valueOf("--walk-retries", value)) {
@@ -194,7 +192,7 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             continue;
         }
         if (valueOf("--burst-max-bits", value)) {
-            opts.campaign.faults.burstMaxBits = std::stoull(value);
+            plan.faults.burstMaxBits = std::stoull(value);
             continue;
         }
         if (valueOf("--watchdog-cycles", value)) {
@@ -206,25 +204,20 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
             continue;
         }
         if (valueOf("--rate", value)) {
-            if (!parseRate(value, opts.campaign.faults))
+            if (!parseRate(value, plan.faults))
                 return false;
-            opts.meshCampaign.faults = opts.campaign.faults;
             continue;
         }
         if (valueOf("--mesh", value)) {
-            unsigned x = 0, y = 0, z = 0;
-            if (std::sscanf(value.c_str(), "%u,%u,%u", &x, &y, &z) !=
-                    3 ||
-                x == 0 || y == 0 || z == 0) {
+            auto &mc = opts.meshCampaign;
+            if (std::sscanf(value.c_str(), "%u,%u,%u", &mc.dimX,
+                            &mc.dimY, &mc.dimZ) != 3 ||
+                mc.dimX == 0 || mc.dimY == 0 || mc.dimZ == 0) {
                 std::fprintf(stderr,
                              "gpfault: bad --mesh geometry: %s\n",
                              value.c_str());
                 return false;
             }
-            opts.mesh = true;
-            opts.meshCampaign.dimX = x;
-            opts.meshCampaign.dimY = y;
-            opts.meshCampaign.dimZ = z;
             continue;
         }
         if (valueOf("--threads", value)) {
@@ -266,60 +259,92 @@ parseArgs(int argc, char **argv, Options &opts, bool &exitEarly)
     return true;
 }
 
-/** The multi-node fail-stop arm of the driver (--mesh X,Y,Z). */
-int
-runMeshCampaign(const Options &opts)
+/** The workload's own columns of a --verbose row. */
+void
+printCounters(const fault::RunResult &r)
 {
-    fault::MeshCampaignRunner runner(opts.meshCampaign);
-    const fault::MeshCampaignTotals totals = runner.runAll();
+    std::printf("eccC=%llu eccD=%llu walkT=%llu ",
+                (unsigned long long)r.eccCorrected,
+                (unsigned long long)r.eccDetected,
+                (unsigned long long)r.walkTransients);
+}
 
-    if (opts.verbose) {
-        const auto &results = runner.results();
-        for (size_t i = 0; i < results.size(); ++i) {
-            const fault::MeshRunResult &r = results[i];
-            std::printf(
-                "run %4zu: %-23s cycles=%-7llu inj=%-3llu "
-                "dead=%llu links=%llu detours=%llu unreach=%llu "
-                "fault=%s\n",
-                i, std::string(meshOutcomeName(r.outcome)).c_str(),
-                (unsigned long long)r.cycles,
-                (unsigned long long)r.injections,
+void
+printCounters(const fault::MeshRunResult &r)
+{
+    std::printf("dead=%llu links=%llu detours=%llu unreach=%llu ",
                 (unsigned long long)r.deadNodes,
                 (unsigned long long)r.downLinks,
                 (unsigned long long)r.detours,
-                (unsigned long long)r.unreachableFaults,
-                std::string(faultName(r.firstFault)).c_str());
-        }
-    }
+                (unsigned long long)r.unreachableFaults);
+}
 
-    const auto &mc = opts.meshCampaign;
+void
+printHeader(const fault::CampaignConfig &cc,
+            const fault::CampaignRunner::Totals &totals)
+{
+    std::printf("gpfault: %llu runs, %llu injections, ecc=%s, "
+                "walk-retries=%u%s, golden=%llu cycles\n",
+                (unsigned long long)totals.runs,
+                (unsigned long long)totals.sum.injections,
+                std::string(mem::eccModeName(cc.ecc)).c_str(),
+                cc.walkRetries, cc.elideChecks ? ", elide-checks" : "",
+                (unsigned long long)totals.goldenCycles);
+}
+
+void
+printHeader(const fault::MeshCampaignConfig &mc,
+            const fault::MeshCampaignRunner::Totals &totals)
+{
     std::printf("gpfault: mesh %ux%ux%u campaign, %llu runs, "
                 "%llu injections, %u host thread(s), retrans=%s, "
                 "golden=%llu cycles\n",
                 mc.dimX, mc.dimY, mc.dimZ,
                 (unsigned long long)totals.runs,
-                (unsigned long long)totals.totalInjections,
+                (unsigned long long)totals.sum.injections,
                 mc.hostThreads, mc.retrans.enabled ? "on" : "off",
                 (unsigned long long)totals.goldenCycles);
     std::printf("  dead-nodes=%llu down-links=%llu detours=%llu "
                 "unreachable-faults=%llu\n",
-                (unsigned long long)totals.totalDeadNodes,
-                (unsigned long long)totals.totalDownLinks,
-                (unsigned long long)totals.totalDetours,
-                (unsigned long long)totals.totalUnreachableFaults);
-    for (unsigned o = 0; o < fault::kMeshOutcomeCount; ++o) {
+                (unsigned long long)totals.sum.deadNodes,
+                (unsigned long long)totals.sum.downLinks,
+                (unsigned long long)totals.sum.detours,
+                (unsigned long long)totals.sum.unreachableFaults);
+}
+
+/** Run one campaign and report it: the whole driver after parsing. */
+template <class W>
+int
+runCampaign(const typename W::Config &config, const Options &opts)
+{
+    fault::Campaign<W> runner(config);
+    const auto totals = runner.runAll();
+
+    for (size_t i = 0; opts.verbose && i < runner.results().size(); ++i) {
+        const auto &r = runner.results()[i];
+        std::printf("run %4zu: %-23s cycles=%-7llu inj=%-3llu ", i,
+                    std::string(W::kLabels[unsigned(r.outcome)]).c_str(),
+                    (unsigned long long)r.cycles,
+                    (unsigned long long)r.injections);
+        printCounters(r);
+        std::printf("fault=%s\n",
+                    std::string(faultName(r.firstFault)).c_str());
+    }
+    printHeader(config, totals);
+    for (unsigned o = 0; o < fault::kOutcomeCount; ++o) {
         const uint64_t n = totals.perOutcome[o];
         std::printf("  %-23s %6llu  (%5.1f%%)\n",
-                    std::string(
-                        meshOutcomeName(fault::MeshOutcome(o)))
-                        .c_str(),
+                    std::string(W::kLabels[o]).c_str(),
                     (unsigned long long)n,
-                    totals.runs
-                        ? 100.0 * double(n) / double(totals.runs)
-                        : 0.0);
+                    totals.runs ? 100.0 * double(n) /
+                                      double(totals.runs)
+                                : 0.0);
     }
-    std::printf("gpfault: mesh campaign signature %016llx\n",
-                (unsigned long long)runner.campaignSignature());
+    // Only the mesh prints its signature: CI compares it across
+    // --threads values.
+    if constexpr (std::is_same_v<W, fault::MeshWorkload>)
+        std::printf("gpfault: mesh campaign signature %016llx\n",
+                    (unsigned long long)runner.campaignSignature());
 
     if (!opts.statsJson.empty()) {
         std::ofstream out(opts.statsJson, std::ios::trunc);
@@ -329,9 +354,9 @@ runMeshCampaign(const Options &opts)
         sim::StatRegistry::instance().exportJson(out);
     }
 
-    const uint64_t sdc = totals.outcome(fault::MeshOutcome::Sdc);
+    const uint64_t sdc = totals.outcome(fault::Outcome::Sdc);
     const uint64_t detected =
-        totals.outcome(fault::MeshOutcome::DetectedFault);
+        totals.outcome(fault::Outcome::DetectedFault);
     if (opts.expectZeroSdc && sdc != 0) {
         std::fprintf(stderr,
                      "gpfault: FAIL: expected zero silent data "
@@ -361,73 +386,7 @@ main(int argc, char **argv)
     }
     if (exitEarly)
         return 0;
-
-    if (opts.mesh)
-        return runMeshCampaign(opts);
-
-    fault::CampaignRunner runner(opts.campaign);
-    const fault::CampaignTotals totals = runner.runAll();
-
-    if (opts.verbose) {
-        const auto &results = runner.results();
-        for (size_t i = 0; i < results.size(); ++i) {
-            const fault::RunResult &r = results[i];
-            std::printf(
-                "run %4zu: %-23s cycles=%-7llu inj=%-3llu "
-                "eccC=%llu eccD=%llu walkT=%llu fault=%s\n",
-                i, std::string(outcomeName(r.outcome)).c_str(),
-                (unsigned long long)r.cycles,
-                (unsigned long long)r.injections,
-                (unsigned long long)r.eccCorrected,
-                (unsigned long long)r.eccDetected,
-                (unsigned long long)r.walkTransients,
-                std::string(faultName(r.firstFault)).c_str());
-        }
-    }
-
-    std::printf("gpfault: %llu runs, %llu injections, ecc=%s, "
-                "walk-retries=%u%s, golden=%llu cycles\n",
-                (unsigned long long)totals.runs,
-                (unsigned long long)totals.totalInjections,
-                std::string(mem::eccModeName(opts.campaign.ecc))
-                    .c_str(),
-                opts.campaign.walkRetries,
-                opts.campaign.elideChecks ? ", elide-checks" : "",
-                (unsigned long long)totals.goldenCycles);
-    for (unsigned o = 0; o < fault::kOutcomeCount; ++o) {
-        const uint64_t n = totals.perOutcome[o];
-        std::printf("  %-23s %6llu  (%5.1f%%)\n",
-                    std::string(outcomeName(fault::Outcome(o)))
-                        .c_str(),
-                    (unsigned long long)n,
-                    totals.runs ? 100.0 * double(n) /
-                                      double(totals.runs)
-                                : 0.0);
-    }
-
-    if (!opts.statsJson.empty()) {
-        std::ofstream out(opts.statsJson, std::ios::trunc);
-        if (!out)
-            sim::fatal("cannot open stats file %s",
-                       opts.statsJson.c_str());
-        sim::StatRegistry::instance().exportJson(out);
-    }
-
-    const uint64_t sdc = totals.outcome(fault::Outcome::Sdc);
-    const uint64_t detected =
-        totals.outcome(fault::Outcome::DetectedFault);
-    if (opts.expectZeroSdc && sdc != 0) {
-        std::fprintf(stderr,
-                     "gpfault: FAIL: expected zero silent data "
-                     "corruption, saw %llu run(s)\n",
-                     (unsigned long long)sdc);
-        return 1;
-    }
-    if (opts.expectDetected && detected == 0) {
-        std::fprintf(stderr,
-                     "gpfault: FAIL: expected detected-fault runs, "
-                     "saw none\n");
-        return 1;
-    }
-    return 0;
+    return opts.mesh
+               ? runCampaign<fault::MeshWorkload>(opts.meshCampaign, opts)
+               : runCampaign<fault::MachineWorkload>(opts.campaign, opts);
 }

@@ -55,7 +55,6 @@ struct Options
     bool threadsSet = false;
     bool mesh = false;            //!< sharded multicomputer mode
     unsigned meshX = 0, meshY = 0, meshZ = 0;
-    uint64_t epochHorizon = 0;    //!< 0 = derive from link latency
     bool profileIntervalSet = false;
     uint64_t dataBytes = 4096;
     unsigned clusters = 4;
@@ -96,8 +95,6 @@ usage(const char *argv0)
         "                   per node, r1 = full-space RW pointer,\n"
         "                   r2 = node id) under the sharded epoch\n"
         "                   engine; prints a deterministic signature\n"
-        "  --epoch-horizon N  cycles per epoch in --mesh mode\n"
-        "                   (default/max: the mesh lookahead)\n"
         "  --mesh-watchdog N  distributed quiescence watchdog: trip\n"
         "                   (with a post-mortem) after N cycles of\n"
         "                   zero mesh-wide progress (requires --mesh)\n"
@@ -301,10 +298,6 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.meshZ = z;
             continue;
         }
-        if (valueOf("--epoch-horizon", value)) {
-            opts.epochHorizon = std::stoull(value);
-            continue;
-        }
         if (arg == "--threads") {
             const char *v = next();
             if (!v)
@@ -365,8 +358,6 @@ validateOptions(const Options &opts)
         return "--proofs requires --elide-checks";
     if (opts.profileIntervalSet && !opts.profile)
         return "--profile-interval requires --profile";
-    if (opts.epochHorizon != 0 && !opts.mesh)
-        return "--epoch-horizon requires --mesh";
     if (opts.meshWatchdog != 0 && !opts.mesh)
         return "--mesh-watchdog requires --mesh";
     if (opts.fastMode) {
@@ -409,6 +400,54 @@ validateOptions(const Options &opts)
     return nullptr;
 }
 
+/** Attach the trace sinks and flight recorder the flags ask for. */
+void
+attachTracing(const Options &opts)
+{
+    sim::TraceManager &tracer = sim::TraceManager::instance();
+    if (opts.traceMask != 0)
+        tracer.setTextSink(&std::cout, opts.traceMask);
+    if (!opts.traceOut.empty() && !tracer.openJson(opts.traceOut))
+        sim::fatal("cannot open trace file %s", opts.traceOut.c_str());
+    if (opts.flightRecorder > 0)
+        tracer.setFlightRecorder(opts.flightRecorder);
+}
+
+/**
+ * After the run: --dump-stats, the --profile summary and
+ * --profile-out, --stats-json, then close the JSON trace.
+ */
+void
+reportObservations(const Options &opts)
+{
+    if (opts.dumpStats) {
+        // Every component registers its StatGroup with the process-wide
+        // registry, so one call covers machine, memory, cache, TLB,
+        // pointer ops, kernel, and anything added later.
+        std::printf("\n");
+        sim::StatRegistry::instance().dumpAll(std::cout);
+    }
+    if (opts.profile) {
+        sim::Profiler::instance().disarm();
+        sim::Profiler::instance().summary(std::cout);
+        if (!opts.profileOut.empty()) {
+            std::ofstream out(opts.profileOut, std::ios::trunc);
+            if (!out)
+                sim::fatal("cannot open profile file %s",
+                           opts.profileOut.c_str());
+            sim::Profiler::instance().exportJson(out);
+        }
+    }
+    if (!opts.statsJson.empty()) {
+        std::ofstream out(opts.statsJson, std::ios::trunc);
+        if (!out)
+            sim::fatal("cannot open stats file %s",
+                       opts.statsJson.c_str());
+        sim::StatRegistry::instance().exportJson(out);
+    }
+    sim::TraceManager::instance().closeJson();
+}
+
 /**
  * Multicomputer mode: the program runs on every node of the mesh
  * under the sharded epoch engine. One hardware thread per node,
@@ -427,7 +466,6 @@ runMesh(const Options &opts, const std::string &source)
     scfg.machine.issueWidth = opts.issueWidth;
     scfg.machine.watchdogCycles = opts.maxCycles;
     scfg.hostThreads = opts.threads;
-    scfg.epochHorizon = opts.epochHorizon;
     scfg.meshWatchdogCycles = opts.meshWatchdog;
     noc::ShardedMesh shard(scfg);
 
@@ -470,14 +508,7 @@ runMesh(const Options &opts, const std::string &source)
         threads.push_back(t);
     }
 
-    sim::TraceManager &tracer = sim::TraceManager::instance();
-    if (opts.traceMask != 0)
-        tracer.setTextSink(&std::cout, opts.traceMask);
-    if (!opts.traceOut.empty() && !tracer.openJson(opts.traceOut))
-        sim::fatal("cannot open trace file %s", opts.traceOut.c_str());
-    if (opts.flightRecorder > 0)
-        tracer.setFlightRecorder(opts.flightRecorder);
-
+    attachTracing(opts);
     const uint64_t cycles = shard.run(opts.maxCycles + 1000);
 
     int halted = 0, faulted = 0;
@@ -514,30 +545,7 @@ runMesh(const Options &opts, const std::string &source)
                             toString(threads[n]->reg(r)).c_str());
         }
     }
-    if (opts.dumpStats) {
-        std::printf("\n");
-        sim::StatRegistry::instance().dumpAll(std::cout);
-    }
-    if (opts.profile) {
-        sim::Profiler::instance().disarm();
-        sim::Profiler::instance().summary(std::cout);
-        if (!opts.profileOut.empty()) {
-            std::ofstream out(opts.profileOut, std::ios::trunc);
-            if (!out)
-                sim::fatal("cannot open profile file %s",
-                           opts.profileOut.c_str());
-            sim::Profiler::instance().exportJson(out);
-        }
-    }
-    if (!opts.statsJson.empty()) {
-        std::ofstream out(opts.statsJson, std::ios::trunc);
-        if (!out)
-            sim::fatal("cannot open stats file %s",
-                       opts.statsJson.c_str());
-        sim::StatRegistry::instance().exportJson(out);
-    }
-
-    tracer.closeJson();
+    reportObservations(opts);
     if (shard.watchdogTripped() || shard.meshWatchdogTripped()) {
         std::fprintf(stderr,
                      "gpsim: watchdog tripped after %llu cycles "
@@ -613,10 +621,16 @@ main(int argc, char **argv)
 
     const std::string source = readSource(opts.source);
 
-    if (opts.verify) {
-        // Opt-in pre-run pass: prove the program respects the rights
-        // lattice before a single instruction executes.
-        const isa::Assembly assembly = isa::assemble(source);
+    // --verify proves the program respects the rights lattice before a
+    // single instruction executes. --elide-checks without a --proofs
+    // sidecar takes its proof from the same analysis, under the entry
+    // state the spawn loop below sets up (r1 = RW data segment of
+    // --data bytes, r2 = integer).
+    const bool proveHere = opts.elideChecks && opts.proofsFile.empty();
+    isa::Assembly assembly;
+    verify::VerifyResult vres;
+    if (opts.verify || proveHere) {
+        assembly = isa::assemble(source);
         if (!assembly.ok) {
             std::fprintf(stderr, "gpsim: %s: %s\n",
                          opts.source.c_str(), assembly.error.c_str());
@@ -625,8 +639,9 @@ main(int argc, char **argv)
         verify::VerifyOptions vopts;
         vopts.privileged = opts.privileged;
         vopts.entryRegs = verify::defaultEntryRegs(opts.dataBytes);
-        const verify::VerifyResult vres =
-            verify::verifyProgram(assembly, vopts);
+        vres = verify::verifyProgram(assembly, vopts);
+    }
+    if (opts.verify) {
         if (!vres.clean()) {
             std::fputs(vres.report(opts.source, &assembly).c_str(),
                        stderr);
@@ -646,7 +661,11 @@ main(int argc, char **argv)
 
     if (opts.elideChecks) {
         isa::ElideProof proof;
-        if (!opts.proofsFile.empty()) {
+        if (proveHere) {
+            proof = verify::makeElideProof(vres, assembly.words,
+                                           opts.privileged,
+                                           prog.value.base);
+        } else {
             std::ifstream in(opts.proofsFile);
             if (!in)
                 sim::fatal("cannot open proof sidecar %s",
@@ -663,31 +682,12 @@ main(int argc, char **argv)
             // a verdict only applies to the exact word it was proven
             // for.
             proof.base = prog.value.base;
-        } else {
-            // No sidecar: establish the proof here, under the same
-            // entry-state assumptions the spawn loop below sets up
-            // (r1 = RW data segment of --data bytes, r2 = integer).
-            const isa::Assembly assembly = isa::assemble(source);
-            verify::VerifyOptions vopts;
-            vopts.privileged = opts.privileged;
-            vopts.entryRegs = verify::defaultEntryRegs(opts.dataBytes);
-            const verify::VerifyResult vres =
-                verify::verifyProgram(assembly, vopts);
-            proof = verify::makeElideProof(vres, assembly.words,
-                                           opts.privileged,
-                                           prog.value.base);
         }
         kernel.machine().registerElideProof(proof);
     }
 
     // Attach the requested trace sinks before any thread runs.
-    sim::TraceManager &tracer = sim::TraceManager::instance();
-    if (opts.traceMask != 0)
-        tracer.setTextSink(&std::cout, opts.traceMask);
-    if (!opts.traceOut.empty() && !tracer.openJson(opts.traceOut))
-        sim::fatal("cannot open trace file %s", opts.traceOut.c_str());
-    if (opts.flightRecorder > 0)
-        tracer.setFlightRecorder(opts.flightRecorder);
+    attachTracing(opts);
 
     std::vector<isa::Thread *> threads;
     for (unsigned i = 0; i < opts.threads; ++i) {
@@ -704,9 +704,9 @@ main(int argc, char **argv)
         // Label the thread's Perfetto track with what it runs, so
         // exported traces read "prog copy 3" instead of "thread 3".
         if (!opts.traceOut.empty())
-            tracer.setTrackName(sim::TraceCat::Exec, t->id(),
-                                opts.source + " copy " +
-                                    std::to_string(i));
+            sim::TraceManager::instance().setTrackName(
+                sim::TraceCat::Exec, t->id(),
+                opts.source + " copy " + std::to_string(i));
         threads.push_back(t);
     }
 
@@ -755,35 +755,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (opts.dumpStats) {
-        // Every component registers its StatGroup with the process-wide
-        // registry, so one call covers machine, memory, cache, TLB,
-        // pointer ops, kernel, and anything added later.
-        std::printf("\n");
-        sim::StatRegistry::instance().dumpAll(std::cout);
-    }
-
-    if (opts.profile) {
-        sim::Profiler::instance().disarm();
-        sim::Profiler::instance().summary(std::cout);
-        if (!opts.profileOut.empty()) {
-            std::ofstream out(opts.profileOut, std::ios::trunc);
-            if (!out)
-                sim::fatal("cannot open profile file %s",
-                           opts.profileOut.c_str());
-            sim::Profiler::instance().exportJson(out);
-        }
-    }
-
-    if (!opts.statsJson.empty()) {
-        std::ofstream out(opts.statsJson, std::ios::trunc);
-        if (!out)
-            sim::fatal("cannot open stats file %s",
-                       opts.statsJson.c_str());
-        sim::StatRegistry::instance().exportJson(out);
-    }
-
-    tracer.closeJson();
+    reportObservations(opts);
     if (kernel.machine().watchdogTripped()) {
         std::fprintf(stderr,
                      "gpsim: watchdog tripped after %llu cycles "
