@@ -1,5 +1,7 @@
 #include "isa/machine.h"
 
+#include <algorithm>
+
 #include "gp/ops.h"
 #include "gp/pointer.h"
 #include "sim/faultinject.h"
@@ -421,6 +423,8 @@ uint64_t
 Machine::run(uint64_t max_cycles)
 {
     const uint64_t start = cycle_;
+    const uint64_t limit =
+        max_cycles > UINT64_MAX - start ? UINT64_MAX : start + max_cycles;
     // allDone() scans every thread slot, which is wasteful once per
     // cycle: a running machine only *becomes* done in a cycle where
     // some thread leaves the Ready state (halt, fault, watchdog — or
@@ -429,9 +433,16 @@ Machine::run(uint64_t max_cycles)
     // after such a cycle. not-Ready -> Ready transitions can only
     // keep the machine running and never need a re-check.
     bool done = allDone();
-    while (!done && cycle_ - start < max_cycles) {
+    while (!done && cycle_ < limit) {
         readyMayHaveShrunk_ = false;
         step();
+        if (readyMayHaveShrunk_)
+            done = allDone();
+        if (done)
+            break;
+        // A watchdog trip at the end of the skip sets the flag again.
+        readyMayHaveShrunk_ = false;
+        skipIdleCycles(limit);
         if (readyMayHaveShrunk_)
             done = allDone();
     }
@@ -439,6 +450,67 @@ Machine::run(uint64_t max_cycles)
         sim::warn("machine: run() hit the %llu-cycle limit",
                   static_cast<unsigned long long>(max_cycles));
     return cycle_ - start;
+}
+
+uint64_t
+Machine::skipIdleCycles(uint64_t limit)
+{
+    if (sim::Profiler::armed() ||
+        (!config_.externalInjectorTick && sim::FaultInjector::armed()))
+        return 0;
+    // The earliest cycle any Ready thread can issue. Nothing but an
+    // issue changes thread state inside the machine, so every cycle
+    // before it is idle on every cluster.
+    uint64_t wake = UINT64_MAX;
+    for (const Thread &t : threads_) {
+        if (t.state() != ThreadState::Ready)
+            continue;
+        if (t.stallUntil() <= cycle_)
+            return 0;
+        wake = std::min(wake, t.stallUntil());
+    }
+    uint64_t target = std::min(wake, limit);
+    const bool watched = (config_.watchdogCycles != 0 ||
+                          config_.watchdogQuiescence != 0) &&
+                         !watchdogTripped_;
+    if (watched) {
+        if (config_.watchdogCycles != 0)
+            target = std::min(target, config_.watchdogCycles);
+        // A finite wake keeps quiescentNow() false on every skipped
+        // cycle. Without one, the quiescence test can pass as soon as
+        // its window closes: stop there.
+        if (config_.watchdogQuiescence != 0 && wake == UINT64_MAX &&
+            quiescentNow()) {
+            const uint64_t trip =
+                config_.watchdogQuiescence > UINT64_MAX - lastIssueCycle_
+                    ? UINT64_MAX
+                    : lastIssueCycle_ + config_.watchdogQuiescence;
+            target = std::min(target, trip);
+        }
+    }
+    if (target <= cycle_)
+        return 0;
+
+    const uint64_t n = target - cycle_;
+    const unsigned nslots = config_.threadsPerCluster;
+    for (unsigned c = 0; c < config_.clusters; ++c) {
+        bool any_ready = false;
+        for (unsigned s = 0; s < nslots && !any_ready; ++s)
+            any_ready =
+                threads_[c * nslots + s].state() == ThreadState::Ready;
+        *(any_ready ? stalledClusterCycles_ : emptyClusterCycles_) += n;
+        rrNext_[c] = unsigned((rrNext_[c] + n % nslots) % nslots);
+    }
+    *idleClusterCycles_ += n * config_.clusters;
+    *cycles_ += n;
+    cycle_ = target;
+    // The last skipped step() would have stamped its cycle on the
+    // trace hub and run the watchdog check at the new cycle.
+    if (sim::TraceManager::anyEnabled())
+        sim::TraceManager::instance().setCycle(cycle_ - 1);
+    if (watched)
+        checkWatchdog();
+    return n;
 }
 
 void

@@ -163,9 +163,26 @@ class Machine
 
     /**
      * Run until every thread has halted or faulted, or until max_cycles
-     * elapse. @return the number of cycles executed.
+     * elapse. Idle stretches are skipped with skipIdleCycles(), so
+     * cycles and stats match a plain step() loop exactly.
+     * @return the number of cycles executed.
      */
     uint64_t run(uint64_t max_cycles = 1'000'000);
+
+    /**
+     * Idle-cycle fast-forward. When no Ready thread can issue at the
+     * current cycle, jump straight to the earliest wake-up, capped at
+     * @p limit and at the cycles where the budget or quiescence
+     * watchdog would trip. Charges in bulk exactly what the skipped
+     * step() calls would have: cycles, idle cluster-cycles (stalled or
+     * empty per cluster) and the round-robin cursors; then runs the
+     * watchdog check the last skipped cycle would have run. Skips
+     * nothing while the profiler is armed or while this machine ticks
+     * an armed fault injector itself, since both observe every cycle.
+     * Executes no instruction: step() is the only code that runs one.
+     * @return the number of cycles skipped.
+     */
+    uint64_t skipIdleCycles(uint64_t limit);
 
     /** @return true when no thread is Ready or Pending. */
     bool allDone() const;

@@ -76,8 +76,11 @@ PageTable::translateAddr(uint64_t vaddr)
     // unmap()/mapTo(), both of which evict the affected slot, so a
     // match is always the same answer the map lookup would give.
     MemoEntry &slot = memo_[page & (kMemoEntries - 1)];
-    if (slot.vpn == page)
+    memoLookups_++;
+    if (slot.vpn == page) {
+        memoHits_++;
         return (slot.pfn << pageShift_) | (vaddr & (pageBytes() - 1));
+    }
     auto pfn = translate(page);
     if (!pfn) {
         if (!allocateOnTouch_ || blocked_.count(page))

@@ -67,6 +67,14 @@ class PageTable
 
     size_t mappedPages() const { return table_.size(); }
 
+    /**
+     * translateAddr() calls, and those answered by the memo. Plain
+     * members rather than stat counters, so stat exports and the
+     * signatures built from them are unchanged.
+     */
+    uint64_t memoLookups() const { return memoLookups_; }
+    uint64_t memoHits() const { return memoHits_; }
+
     sim::StatGroup &stats() { return stats_; }
 
   private:
@@ -98,6 +106,8 @@ class PageTable
     /// Frames of unmapped pages, restored on re-map (reinstatement).
     std::unordered_map<uint64_t, uint64_t> suspended_;
     std::unordered_set<uint64_t> blocked_;
+    uint64_t memoLookups_ = 0;
+    uint64_t memoHits_ = 0;
     sim::StatGroup stats_{"page_table"};
 
     // Cached stat handles: map() runs on the demand-allocation path

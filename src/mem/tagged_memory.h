@@ -3,9 +3,16 @@
  * Tagged physical memory.
  *
  * Every 64-bit word of storage carries the pointer-tag bit (the 1.5%
- * storage overhead quantified in §4.1). Storage is sparse: only words
- * that have been written occupy host memory, so the full 54-bit space
- * can be exercised on a laptop.
+ * storage overhead quantified in §4.1). Storage is chunked: host
+ * memory is allocated one 4 KiB chunk (512 words) at a time, the
+ * first time any word in it is written. Each chunk packs its payload
+ * words, a tag bitmap, a resident bitmap (which words have ever been
+ * written) and one check byte per word. Chunks below kDenseChunks are
+ * indexed by frame number in a vector — the frame allocator hands
+ * frames out densely from 0, so this is the common case and a lookup
+ * is one bounds test and one load. Chunks above that range live in an
+ * ordered map, so the full 54-bit space can still be exercised on a
+ * laptop and a single high address never grows the index vector.
  *
  * Tag semantics at sub-word granularity: only aligned 8-byte accesses
  * can read or write a tagged word intact. Writing any smaller quantity
@@ -25,7 +32,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "gp/word.h"
@@ -40,7 +48,7 @@ struct CheckedWord
     EccStatus status = EccStatus::Ok;
 };
 
-/** Sparse tagged word-addressable physical memory. */
+/** Chunked tagged word-addressable physical memory. */
 class TaggedMemory
 {
   public:
@@ -59,18 +67,26 @@ class TaggedMemory
     Word
     readWord(uint64_t addr) const
     {
-        auto it = store_.find(addr >> 3);
-        return it == store_.end() ? Word{} : it->second.w;
+        // A word never written is zero with its tag clear in its
+        // chunk, which is exactly Word{}.
+        const Chunk *c = findChunk(addr);
+        return c ? c->word(slotOf(addr)) : Word{};
     }
 
     /** Write a full tagged word at 8-byte-aligned byte address addr. */
     void
     writeWord(uint64_t addr, Word w)
     {
-        Cell &c = store_[addr >> 3];
-        c.w = w;
+        Chunk &c = chunkAt(addr);
+        const unsigned i = slotOf(addr);
+        c.bits[i] = w.bits();
+        setBit(c.tag, i, w.isPointer());
+        if (!testBit(c.resident, i)) {
+            setBit(c.resident, i, true);
+            words_++;
+        }
         if (ecc_ != EccMode::None)
-            c.check = eccEncode(ecc_, w.bits(), w.isPointer());
+            c.check[i] = eccEncode(ecc_, w.bits(), w.isPointer());
     }
 
     /**
@@ -96,10 +112,10 @@ class TaggedMemory
     void writeBytes(uint64_t addr, unsigned size, uint64_t value);
 
     /** @return number of distinct words ever written. */
-    size_t wordsAllocated() const { return store_.size(); }
+    size_t wordsAllocated() const { return words_; }
 
     /** Drop all contents. */
-    void clear() { store_.clear(); }
+    void clear();
 
     // ---- fault-injection / corruption API ------------------------
 
@@ -124,15 +140,104 @@ class TaggedMemory
     uint64_t eccDetected() const { return eccDetected_; }
 
   private:
-    /** One resident word: payload+tag plus its stored check byte. */
-    struct Cell
+    /// Words per chunk and log2 of the chunk's byte size (4 KiB).
+    static constexpr unsigned kChunkWords = 512;
+    static constexpr unsigned kChunkShift = 12;
+    /// Chunks indexed by frame in dense_; beyond this they go in
+    /// sparse_. Caps the index vector at 512 KiB of pointers.
+    static constexpr uint64_t kDenseChunks = uint64_t(1) << 16;
+
+    /**
+     * The 512 words of one 4 KiB frame: payloads, tag and resident
+     * bitmaps, and one check byte per word. Zeroed whenever it is
+     * handed out, so a non-resident word reads as Word{}.
+     */
+    struct Chunk
     {
-        Word w{};
-        uint8_t check = 0;
+        uint64_t bits[kChunkWords];
+        uint64_t tag[kChunkWords / 64];
+        uint64_t resident[kChunkWords / 64];
+        uint8_t check[kChunkWords];
+
+        Word
+        word(unsigned i) const
+        {
+            return testBit(tag, i) ? Word::fromRawPointerBits(bits[i])
+                                   : Word::fromInt(bits[i]);
+        }
     };
 
+    static bool
+    testBit(const uint64_t *map, unsigned i)
+    {
+        return (map[i >> 6] >> (i & 63)) & 1;
+    }
+
+    static void
+    setBit(uint64_t *map, unsigned i, bool on)
+    {
+        const uint64_t m = uint64_t(1) << (i & 63);
+        map[i >> 6] = on ? map[i >> 6] | m : map[i >> 6] & ~m;
+    }
+
+    static unsigned
+    slotOf(uint64_t addr)
+    {
+        return unsigned(addr >> 3) & (kChunkWords - 1);
+    }
+
+    /** The chunk holding addr, or nullptr if none is allocated. */
+    const Chunk *
+    findChunk(uint64_t addr) const
+    {
+        const uint64_t frame = addr >> kChunkShift;
+        if (frame < dense_.size())
+            return dense_[frame].get();
+        return sparse_.empty() ? nullptr : findSparse(frame);
+    }
+
+    Chunk *
+    findChunk(uint64_t addr)
+    {
+        return const_cast<Chunk *>(
+            static_cast<const TaggedMemory *>(this)->findChunk(addr));
+    }
+
+    /** The chunk holding addr, allocated on first use. */
+    Chunk &
+    chunkAt(uint64_t addr)
+    {
+        Chunk *c = findChunk(addr);
+        return c ? *c : allocChunk(addr >> kChunkShift);
+    }
+
+    /**
+     * Chunks freed by one store are kept on a process-wide free list
+     * (up to a cap) and reused by the next: handing ~4.7 KB blocks
+     * back to malloc lets it coalesce and trim the heap, so every new
+     * machine would page-fault its memory in afresh.
+     */
+    struct ChunkPool;
+    static ChunkPool &chunkPool();
+
+    struct ChunkRecycler
+    {
+        void operator()(Chunk *c) const;
+    };
+    using ChunkPtr = std::unique_ptr<Chunk, ChunkRecycler>;
+
+    const Chunk *findSparse(uint64_t frame) const;
+    Chunk &allocChunk(uint64_t frame);
+
+    /** Call f(byte address, chunk, slot) for every resident word of
+     * @p self in ascending address order (const or mutable chunks). */
+    template <typename Self, typename F>
+    static void forEachResident(Self &self, F &&f);
+
     EccMode ecc_ = EccMode::None;
-    std::unordered_map<uint64_t, Cell> store_;
+    std::vector<ChunkPtr> dense_; //!< by frame
+    std::map<uint64_t, ChunkPtr> sparse_; //!< by frame
+    size_t words_ = 0; //!< resident words
     uint64_t eccCorrected_ = 0;
     uint64_t eccDetected_ = 0;
 };

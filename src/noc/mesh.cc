@@ -12,6 +12,7 @@ Mesh::Mesh(const MeshConfig &config) : config_(config)
 {
     if (config_.dimX == 0 || config_.dimY == 0 || config_.dimZ == 0)
         sim::fatal("mesh: dimensions must be nonzero");
+    linkBusy_.assign(size_t(nodeCount()) * 6, 0);
     messages_ = &stats_.counter("messages");
     flits_ = &stats_.counter("flits");
     linkStallCycles_ = &stats_.counter("link_stall_cycles");

@@ -14,7 +14,6 @@
 #define GP_NOC_MESH_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/stats.h"
@@ -190,8 +189,8 @@ class Mesh
                          &hops_out) const;
 
     MeshConfig config_;
-    /// per-link busy-until cycle
-    std::unordered_map<uint64_t, uint64_t> linkBusy_;
+    /// per-link busy-until cycle, by linkId
+    std::vector<uint64_t> linkBusy_;
     sim::StatGroup stats_{"mesh"};
 
     // Failure state. Both vectors stay empty until the first

@@ -140,11 +140,19 @@ ShardedMesh::simulateShard(unsigned shard)
     // Cycle-major so every machine in the mesh executes cycle c
     // before any machine executes cycle c+1 (within the epoch the
     // shards interleave freely — the lookahead guarantees nothing
-    // observable crosses shards before the barrier).
-    for (uint64_t c = from; c < to; ++c)
-        for (unsigned n = first; n < last; ++n)
-            if (live_[n])
-                machines_[n]->step();
+    // observable crosses shards before the barrier). A machine with
+    // no issuable thread fast-forwards towards the epoch end and is
+    // stepped again once c catches up with its cycle; skipped cycles
+    // emit no events, so event order is that of stepping every cycle.
+    for (uint64_t c = from; c < to; ++c) {
+        for (unsigned n = first; n < last; ++n) {
+            isa::Machine &m = *machines_[n];
+            if (live_[n] && m.cycle() == c) {
+                m.step();
+                m.skipIdleCycles(to);
+            }
+        }
+    }
 }
 
 void

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/page_table.h"
 
 namespace gp::mem {
@@ -100,6 +103,47 @@ TEST(PageTable, StatsTrackMapUnmap)
     pt.unmap(1);
     EXPECT_EQ(pt.stats().get("pages_mapped"), 2u);
     EXPECT_EQ(pt.stats().get("pages_unmapped"), 1u);
+}
+
+TEST(PageTable, MemoCountsLookupsAndHits)
+{
+    PageTable pt(4096);
+    EXPECT_EQ(pt.memoLookups(), 0u);
+    EXPECT_EQ(pt.memoHits(), 0u);
+
+    const auto a = pt.translateAddr(0x1008); // miss: demand-maps vpn 1
+    ASSERT_TRUE(a);
+    EXPECT_EQ(pt.translateAddr(0x1ff0), *a - 0x8 + 0xff0); // hit
+    EXPECT_EQ(pt.memoLookups(), 2u);
+    EXPECT_EQ(pt.memoHits(), 1u);
+
+    // vpn 65 shares vpn 1's direct-mapped slot: each evicts the other.
+    ASSERT_TRUE(pt.translateAddr(65 * 4096));
+    ASSERT_TRUE(pt.translateAddr(0x1000));
+    EXPECT_EQ(pt.memoLookups(), 4u);
+    EXPECT_EQ(pt.memoHits(), 1u);
+
+    // unmap evicts the slot; the blocked page misses and fails.
+    pt.unmap(1);
+    EXPECT_FALSE(pt.translateAddr(0x1000));
+    EXPECT_EQ(pt.memoLookups(), 5u);
+    EXPECT_EQ(pt.memoHits(), 1u);
+
+    // translate() bypasses the memo and is not counted.
+    pt.translate(65);
+    EXPECT_EQ(pt.memoLookups(), 5u);
+}
+
+TEST(PageTable, MemoCountersStayOutOfStatExports)
+{
+    PageTable pt(4096);
+    pt.translateAddr(0x1000);
+    pt.translateAddr(0x1000);
+    std::vector<std::string> names;
+    for (const auto &[name, counter] : pt.stats().counters())
+        names.push_back(name);
+    EXPECT_EQ(names,
+              (std::vector<std::string>{"pages_mapped", "pages_unmapped"}));
 }
 
 } // namespace

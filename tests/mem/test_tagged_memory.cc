@@ -1,10 +1,13 @@
 /**
  * @file
- * Tests for tagged physical memory: tag preservation on word accesses
- * and the security-critical tag-clearing on sub-word writes.
+ * Tests for tagged physical memory: tag preservation on word accesses,
+ * the security-critical tag-clearing on sub-word writes, and the
+ * chunked store's bookkeeping across dense and sparse chunks.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "gp/pointer.h"
 #include "mem/tagged_memory.h"
@@ -112,20 +115,131 @@ TEST(TaggedMemory, SubWordReadNeverExposesTag)
 
 TEST(TaggedMemory, SparseFootprint)
 {
+    // A low (dense-index) word and words near 2^50 (sparse chunks)
+    // coexist without disturbing their neighbours.
+    const uint64_t high = uint64_t(1) << 50;
     TaggedMemory m;
     m.writeWord(0x0, Word::fromInt(1));
-    m.writeWord(uint64_t(1) << 50, Word::fromInt(2));
-    EXPECT_EQ(m.wordsAllocated(), 2u);
-    EXPECT_EQ(m.readWord(uint64_t(1) << 50).bits(), 2u);
+    m.writeWord(high, Word::fromInt(2));
+    m.writeWord(high + 0x1000, Word::fromInt(3));
+    EXPECT_EQ(m.wordsAllocated(), 3u);
+    EXPECT_EQ(m.readWord(0x0).bits(), 1u);
+    EXPECT_EQ(m.readWord(high).bits(), 2u);
+    EXPECT_EQ(m.readWord(high + 0x1000).bits(), 3u);
+    EXPECT_EQ(m.readWord(high + 8).bits(), 0u);
+    EXPECT_EQ(m.readWord(high - 8).bits(), 0u);
 }
 
 TEST(TaggedMemory, ClearDropsEverything)
 {
     TaggedMemory m;
     m.writeWord(0x8, Word::fromInt(7));
+    m.writeWord(0x5000, Word::fromInt(2));
+    m.writeWord(uint64_t(1) << 50, Word::fromInt(3));
     m.clear();
     EXPECT_EQ(m.wordsAllocated(), 0u);
+    EXPECT_TRUE(m.wordAddrs().empty());
     EXPECT_EQ(m.readWord(0x8).bits(), 0u);
+    EXPECT_EQ(m.readWord(uint64_t(1) << 50).bits(), 0u);
+    m.writeWord(0x5000, Word::fromInt(4));
+    EXPECT_EQ(m.wordsAllocated(), 1u);
+}
+
+TEST(TaggedMemory, ChunkBoundaryWordsAreIndependent)
+{
+    // 0xff8 is the last word of chunk 0, 0x1000 the first of chunk 1.
+    TaggedMemory m;
+    auto p = makePointer(Perm::ReadWrite, 12, 0x5000);
+    ASSERT_TRUE(p);
+    m.writeWord(0xff8, p.value);
+    m.writeWord(0x1000, Word::fromInt(9));
+    EXPECT_TRUE(m.readWord(0xff8).isPointer());
+    EXPECT_EQ(m.readWord(0xff8).bits(), p.value.bits());
+    EXPECT_FALSE(m.readWord(0x1000).isPointer());
+    EXPECT_EQ(m.readWord(0x1000).bits(), 9u);
+    EXPECT_EQ(m.readWord(0xff0).bits(), 0u);
+    EXPECT_EQ(m.readWord(0x1008).bits(), 0u);
+    EXPECT_EQ(m.wordsAllocated(), 2u);
+    EXPECT_EQ(m.wordAddrs(), (std::vector<uint64_t>{0xff8, 0x1000}));
+}
+
+TEST(TaggedMemory, RewriteDoesNotGrowFootprint)
+{
+    TaggedMemory m;
+    m.writeWord(0x40, Word::fromInt(1));
+    m.writeWord(0x40, Word::fromInt(2));
+    m.writeBytes(0x44, 2, 0xffff);
+    m.writeWord(uint64_t(1) << 50, Word::fromInt(3));
+    m.writeWord(uint64_t(1) << 50, Word::fromInt(4));
+    EXPECT_EQ(m.wordsAllocated(), 2u);
+    // Sub-word writes allocate the word they touch, like a full write.
+    m.writeBytes(0x81, 1, 0x5a);
+    EXPECT_EQ(m.wordsAllocated(), 3u);
+}
+
+TEST(TaggedMemory, AddressListsSortedAcrossDenseAndSparse)
+{
+    const uint64_t high = uint64_t(1) << 50;
+    auto p = makePointer(Perm::ReadWrite, 12, 0x5000);
+    ASSERT_TRUE(p);
+    TaggedMemory m;
+    // Written out of order, across chunks and both index ranges.
+    m.writeWord(high + 0x2000, p.value);
+    m.writeWord(0x3008, Word::fromInt(1));
+    m.writeWord(high, Word::fromInt(2));
+    m.writeWord(0x10, p.value);
+    m.writeWord(0x3000, p.value);
+    m.writeWord(0x1ff8, Word::fromInt(3));
+
+    const std::vector<uint64_t> all = m.wordAddrs();
+    EXPECT_EQ(all, (std::vector<uint64_t>{0x10, 0x1ff8, 0x3000, 0x3008,
+                                          high, high + 0x2000}));
+    EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
+    EXPECT_EQ(m.taggedWordAddrs(),
+              (std::vector<uint64_t>{0x10, 0x3000, high + 0x2000}));
+}
+
+TEST(TaggedMemory, FlipOnNonResidentWordInAllocatedChunkFails)
+{
+    TaggedMemory m;
+    m.writeWord(0x1000, Word::fromInt(5)); // allocates chunk 1
+    EXPECT_FALSE(m.flipStoredBit(0x1008, 0));
+    EXPECT_FALSE(m.flipStoredBit(0x1008, 64));
+    EXPECT_FALSE(m.flipStoredBit(0x1008, 65));
+    EXPECT_EQ(m.readWord(0x1008).bits(), 0u);
+    EXPECT_FALSE(m.readWord(0x1008).isPointer());
+    EXPECT_EQ(m.wordsAllocated(), 1u);
+    EXPECT_TRUE(m.flipStoredBit(0x1000, 0));
+    EXPECT_EQ(m.readWord(0x1000).bits(), 4u);
+}
+
+TEST(TaggedMemory, EccModeSwitchReencodesDenseAndSparseWords)
+{
+    const uint64_t high = uint64_t(1) << 50;
+    auto p = makePointer(Perm::ReadWrite, 12, 0x5000);
+    ASSERT_TRUE(p);
+    TaggedMemory m; // written with ECC off...
+    m.writeWord(0x2000, p.value);
+    m.writeWord(high, Word::fromInt(0xabcd));
+    m.setEccMode(EccMode::Secded); // ...then re-encoded
+
+    ASSERT_TRUE(m.flipStoredBit(0x2000, 64)); // strike the tag
+    ASSERT_TRUE(m.flipStoredBit(high, 70));   // strike a check bit
+    CheckedWord cw = m.readWordChecked(0x2000);
+    EXPECT_EQ(cw.status, EccStatus::Corrected);
+    EXPECT_TRUE(cw.word.isPointer());
+    EXPECT_EQ(cw.word.bits(), p.value.bits());
+    cw = m.readWordChecked(high);
+    EXPECT_EQ(cw.status, EccStatus::Corrected);
+    EXPECT_EQ(cw.word.bits(), 0xabcdu);
+    EXPECT_EQ(m.eccCorrected(), 2u);
+
+    // The scrub repaired storage: the plain read path sees the fix.
+    EXPECT_TRUE(m.readWord(0x2000).isPointer());
+    EXPECT_EQ(m.readWordChecked(0x2000).status, EccStatus::Ok);
+    EXPECT_EQ(m.readWordChecked(high).status, EccStatus::Ok);
+    // A word never written reads clean through the check path.
+    EXPECT_EQ(m.readWordChecked(0x2008).status, EccStatus::Ok);
 }
 
 } // namespace
