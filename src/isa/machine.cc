@@ -422,6 +422,16 @@ Machine::bumpFaultKind(Fault f)
 uint64_t
 Machine::run(uint64_t max_cycles)
 {
+    const uint64_t ran = advance(max_cycles);
+    if (!allDone())
+        sim::warn("machine: run() hit the %llu-cycle limit",
+                  static_cast<unsigned long long>(max_cycles));
+    return ran;
+}
+
+uint64_t
+Machine::advance(uint64_t max_cycles)
+{
     const uint64_t start = cycle_;
     const uint64_t limit =
         max_cycles > UINT64_MAX - start ? UINT64_MAX : start + max_cycles;
@@ -446,9 +456,6 @@ Machine::run(uint64_t max_cycles)
         if (readyMayHaveShrunk_)
             done = allDone();
     }
-    if (!allDone())
-        sim::warn("machine: run() hit the %llu-cycle limit",
-                  static_cast<unsigned long long>(max_cycles));
     return cycle_ - start;
 }
 
@@ -551,8 +558,7 @@ Machine::stepCluster(unsigned cluster)
             // issueThread so the new instruction's record (and its
             // protection domain) is already open.
             if (sim::Profiler::armed() && issued == 0)
-                sim::Profiler::instance().attrIssue(
-                    unsigned(&t - threads_.data()));
+                sim::Profiler::instance().attrIssue(slotOf(t));
             issued++;
         }
     }
@@ -628,7 +634,7 @@ Machine::faultThread(Thread &thread, Fault f)
             // The thread's next stall window is handler latency.
             if (sim::Profiler::armed())
                 sim::Profiler::instance().noteTrap(
-                    unsigned(&thread - threads_.data()), cycle_,
+                    slotOf(thread), cycle_,
                     config_.faultTrapCycles);
             break;
         }
@@ -675,32 +681,39 @@ Machine::issueThread(Thread &thread)
         // through finishFetch() as if the fetch had just returned.
         readyMayHaveShrunk_ = true;
         thread.park();
-        deferred_.push_back(
-            {f.ticket, uint32_t(&thread - threads_.data()),
-             DeferredKind::Fetch, 0, 0, 0, false});
+        deferred_.push_back({f.ticket, slotOf(thread),
+                             DeferredKind::Fetch, 0, 0, 0, cycle_});
         return;
     }
-    finishFetch(thread, f);
+    finishFetch(thread, f, cycle_);
 }
 
-void
-Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
+bool
+Machine::accessDelivered(Thread &thread, const mem::MemAccess &acc)
 {
-    if (f.hang) {
-        // The fetch will never complete (lost NoC request with
+    if (acc.hang) {
+        // The access will never complete (lost NoC request with
         // retransmission off): the thread stalls forever. Only a
         // watchdog can reclaim it.
         thread.stallTo(UINT64_MAX);
         (*hungAccesses_)++;
         if (sim::Profiler::armed())
-            sim::Profiler::instance().noteHang(
-                unsigned(&thread - threads_.data()), cycle_);
-        return;
+            sim::Profiler::instance().noteHang(slotOf(thread), cycle_);
+        return false;
     }
-    if (f.fault != Fault::None) {
-        faultThread(thread, f.fault);
-        return;
+    if (acc.fault != Fault::None) {
+        faultThread(thread, acc.fault);
+        return false;
     }
+    return true;
+}
+
+void
+Machine::finishFetch(Thread &thread, const mem::MemAccess &f,
+                     uint64_t issued)
+{
+    if (!accessDelivered(thread, f))
+        return;
 
     // Predecoded-instruction cache: decode is a pure function of the
     // fetched 65-bit word, so memoise it per static instruction. The
@@ -738,15 +751,15 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
     }
 
     if (sim::Profiler::armed()) {
-        // Open the instruction's occupancy record at the issue cycle;
-        // the IP's segment is the thread's protection-domain identity.
+        // Open the instruction's occupancy record at the issue cycle
+        // (earlier than now for a fetch parked across an epoch); the
+        // IP's segment is the thread's protection-domain identity.
         // The fetch's scratch timeline covers [issue, fetch-complete).
-        const unsigned slot = unsigned(&thread - threads_.data());
         const gp::PointerView ipv(thread.ip());
         auto &prof = sim::Profiler::instance();
-        prof.beginInst(slot, cycle_, ip_addr, ipv.segmentBase(),
-                       ipv.segmentLimit());
-        prof.flushAccess(slot, f.completeCycle - cycle_);
+        prof.beginInst(slotOf(thread), issued, ip_addr,
+                       ipv.segmentBase(), ipv.segmentLimit());
+        prof.flushAccess(slotOf(thread), f.completeCycle - issued);
     }
     if (traceHook_)
         traceHook_(thread, *inst, cycle_);
@@ -768,6 +781,59 @@ Machine::finishFetch(Thread &thread, const mem::MemAccess &f)
         proofsDirty_ = false;
         flushPredecode();
     }
+}
+
+inline void
+Machine::noteCheck(bool elided)
+{
+    if (!config_.elideChecks)
+        return;
+    if (elided)
+        (*elideChecksElided_)++;
+    else
+        (*elideChecksExecuted_)++;
+    if (sim::Profiler::armed())
+        sim::Profiler::instance().noteCheck(elided);
+}
+
+inline void
+Machine::retireInst(Thread &thread, int64_t inst_delta, bool elide,
+                    uint64_t done, bool check_tail)
+{
+    thread.retire();
+    noteCheck(elide);
+    if (!advanceIp(thread, inst_delta, elide))
+        return;
+    thread.stallTo(done);
+    if (sim::Profiler::armed())
+        sim::Profiler::instance().endInst(
+            slotOf(thread), done,
+            check_tail ? sim::ProfComp::Check : sim::ProfComp::Compute);
+}
+
+inline void
+Machine::completeMemOp(Thread &thread, const DeferredInst &op,
+                       const mem::MemAccess &acc)
+{
+    if (!accessDelivered(thread, acc))
+        return;
+    if (op.kind == DeferredKind::Load) {
+        thread.setReg(op.rd, acc.data);
+    } else if (op.storeAddr + op.size > proofCoverLo_ &&
+               op.storeAddr < proofCoverHi_) {
+        // A store landing inside a verified image voids every proof:
+        // rewriting one instruction can invalidate verdicts at other
+        // instructions whose own bits are unchanged (safety facts flow
+        // through dataflow). Two compares per store; fires ~never.
+        elideProofs_.clear();
+        proofCoverLo_ = UINT64_MAX;
+        proofCoverHi_ = 0;
+        proofsDirty_ = true; // flush later: inst may alias a slot
+    }
+    if (sim::Profiler::armed())
+        sim::Profiler::instance().flushAccess(
+            op.threadIndex, acc.completeCycle - op.readyAt);
+    retireInst(thread, 1, op.elide, acc.completeCycle, false);
 }
 
 void
@@ -794,31 +860,12 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
     // Default: single-cycle execution after fetch, sequential IP.
     uint64_t done = ready_at + 1;
     int64_t branch_delta = 1;
-    // Set when a memory-op lambda takes a fault: the instruction must
-    // not retire or advance IP afterwards (the fault handler may have
-    // arranged a retry at the same IP).
-    bool fault_taken = false;
-
-    // Elided/executed accounting per elidable check event (pointer-op
-    // check, displacement LEA, access check, IP-advance LEA). Only
-    // meaningful — and only paid — under elideChecks mode, so both
-    // counters read 0 in a baseline run.
-    auto note_check = [&](bool elided) {
-        if (!config_.elideChecks)
-            return;
-        if (elided)
-            (*elideChecksElided_)++;
-        else
-            (*elideChecksExecuted_)++;
-        if (sim::Profiler::armed())
-            sim::Profiler::instance().noteCheck(elided);
-    };
 
     auto alu = [&](uint64_t value) {
         thread.setReg(inst.rd, Word::fromInt(value));
     };
     auto ptr_result = [&](const Result<Word> &r) {
-        note_check(false);
+        noteCheck(false);
         if (!r) {
             faultThread(thread, r.fault);
             return false;
@@ -834,7 +881,7 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         thread.setReg(inst.rd, value);
         done = ready_at;
         (*elideCyclesSaved_)++;
-        note_check(true);
+        noteCheck(true);
     };
 
     // Displacement-addressed memory operand: derive the effective
@@ -843,109 +890,42 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         if (disp == 0)
             return Result<Word>::ok(base);
         if (elide) {
-            note_check(true);
+            noteCheck(true);
             return Result<Word>::ok(gp::leaUnchecked(base, disp));
         }
-        note_check(false);
+        noteCheck(false);
         return gp::lea(base, disp);
     };
 
-    auto do_load = [&](unsigned size) {
+    // A load or store: effective pointer, then the port. The
+    // instruction finishes in completeMemOp() — now, or at the epoch
+    // barrier when the port answers with a split transaction.
+    auto do_mem = [&](DeferredKind kind, unsigned size) {
         auto ptr = eff_ptr(ra, inst.imm);
         if (!ptr) {
             faultThread(thread, ptr.fault);
-            fault_taken = true;
             return;
         }
         if (sim::Profiler::armed())
             sim::Profiler::instance().accBegin(sim::ProfComp::DCache);
-        note_check(elide);
+        noteCheck(elide);
+        DeferredInst op{0,    slotOf(thread),   kind,     inst.rd,
+                        size, ptr.value.addr(), ready_at, elide};
         const mem::MemAccess acc =
-            port_->portLoad(ptr.value, size, ready_at, elide);
+            kind == DeferredKind::Load
+                ? port_->portLoad(ptr.value, size, ready_at, elide)
+                : port_->portStore(ptr.value, thread.reg(inst.rd), size,
+                                   ready_at, elide);
         if (acc.deferred) {
-            // Cross-shard load: the pointer check already ran above;
+            // Cross-shard access: the pointer check already ran above;
             // park until the barrier delivers data and timing.
             readyMayHaveShrunk_ = true;
             thread.park();
-            deferred_.push_back(
-                {acc.ticket, uint32_t(&thread - threads_.data()),
-                 DeferredKind::Load, inst.rd, size, 0, elide});
-            fault_taken = true; // suppress the retire/advance tail
+            op.ticket = acc.ticket;
+            deferred_.push_back(op);
             return;
         }
-        if (acc.hang) {
-            thread.stallTo(UINT64_MAX);
-            (*hungAccesses_)++;
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().noteHang(
-                    unsigned(&thread - threads_.data()), cycle_);
-            fault_taken = true;
-            return;
-        }
-        if (acc.fault != Fault::None) {
-            faultThread(thread, acc.fault);
-            fault_taken = true;
-            return;
-        }
-        thread.setReg(inst.rd, acc.data);
-        done = acc.completeCycle;
-        if (sim::Profiler::armed())
-            sim::Profiler::instance().flushAccess(
-                unsigned(&thread - threads_.data()), done - ready_at);
-    };
-
-    auto do_store = [&](unsigned size) {
-        auto ptr = eff_ptr(ra, inst.imm);
-        if (!ptr) {
-            faultThread(thread, ptr.fault);
-            fault_taken = true;
-            return;
-        }
-        const Word value = thread.reg(inst.rd);
-        if (sim::Profiler::armed())
-            sim::Profiler::instance().accBegin(sim::ProfComp::DCache);
-        note_check(elide);
-        const mem::MemAccess acc =
-            port_->portStore(ptr.value, value, size, ready_at, elide);
-        if (acc.deferred) {
-            readyMayHaveShrunk_ = true;
-            thread.park();
-            deferred_.push_back(
-                {acc.ticket, uint32_t(&thread - threads_.data()),
-                 DeferredKind::Store, 0, size, ptr.value.addr(),
-                 elide});
-            fault_taken = true; // suppress the retire/advance tail
-            return;
-        }
-        if (acc.hang) {
-            thread.stallTo(UINT64_MAX);
-            (*hungAccesses_)++;
-            if (sim::Profiler::armed())
-                sim::Profiler::instance().noteHang(
-                    unsigned(&thread - threads_.data()), cycle_);
-            fault_taken = true;
-            return;
-        }
-        if (acc.fault != Fault::None) {
-            faultThread(thread, acc.fault);
-            fault_taken = true;
-            return;
-        }
-        // A store landing inside a verified image voids every proof:
-        // rewriting one instruction can invalidate verdicts at other
-        // instructions whose own bits are unchanged (safety facts flow
-        // through dataflow). Two compares per store; fires ~never.
-        const uint64_t sa = ptr.value.addr();
-        if (sa + size > proofCoverLo_ && sa < proofCoverHi_) {
-            elideProofs_.clear();
-            proofCoverLo_ = UINT64_MAX;
-            proofCoverHi_ = 0;
-            proofsDirty_ = true; // flush deferred: inst aliases a slot
-        }
-        done = acc.completeCycle;
-        if (sim::Profiler::armed())
-            sim::Profiler::instance().flushAccess(
-                unsigned(&thread - threads_.data()), done - ready_at);
+        completeMemOp(thread, op, acc);
     };
 
     switch (inst.op) {
@@ -957,8 +937,7 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         readyMayHaveShrunk_ = true;
         if (sim::Profiler::armed())
             sim::Profiler::instance().endInst(
-                unsigned(&thread - threads_.data()), ready_at + 1,
-                sim::ProfComp::Compute);
+                slotOf(thread), ready_at + 1, sim::ProfComp::Compute);
         return;
 
       case Op::ADD:
@@ -1030,29 +1009,21 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         break;
 
       case Op::LD:
-        do_load(8);
-        break;
+        return do_mem(DeferredKind::Load, 8);
       case Op::LDW:
-        do_load(4);
-        break;
+        return do_mem(DeferredKind::Load, 4);
       case Op::LDH:
-        do_load(2);
-        break;
+        return do_mem(DeferredKind::Load, 2);
       case Op::LDB:
-        do_load(1);
-        break;
+        return do_mem(DeferredKind::Load, 1);
       case Op::ST:
-        do_store(8);
-        break;
+        return do_mem(DeferredKind::Store, 8);
       case Op::STW:
-        do_store(4);
-        break;
+        return do_mem(DeferredKind::Store, 4);
       case Op::STH:
-        do_store(2);
-        break;
+        return do_mem(DeferredKind::Store, 2);
       case Op::STB:
-        do_store(1);
-        break;
+        return do_mem(DeferredKind::Store, 1);
 
       case Op::LEA:
         if (elide)
@@ -1139,7 +1110,7 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         thread.stallTo(ready_at + 1);
         if (sim::Profiler::armed())
             sim::Profiler::instance().endInst(
-                unsigned(&thread - threads_.data()), ready_at + 1,
+                slotOf(thread), ready_at + 1,
                 gate_crossing ? sim::ProfComp::Gate
                               : sim::ProfComp::Compute);
         return;
@@ -1172,23 +1143,11 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         return;
     }
 
-    if (fault_taken)
-        return;
-
-    thread.retire();
-    note_check(elide);
-    if (!advanceIp(thread, branch_delta, elide))
-        return;
-    thread.stallTo(done);
-    if (sim::Profiler::armed()) {
-        // Execute-tail component: pointer-manipulation ops are the
-        // capability check/decode work that actually costs cycles —
-        // the explicit "check" CPI slice. Everything else is compute.
-        sim::Profiler::instance().endInst(
-            unsigned(&thread - threads_.data()), done,
-            instClass(inst.op) == ClassPointer ? sim::ProfComp::Check
-                                               : sim::ProfComp::Compute);
-    }
+    // Execute-tail component: pointer-manipulation ops are the
+    // capability check/decode work that actually costs cycles — the
+    // explicit "check" CPI slice. Everything else is compute.
+    retireInst(thread, branch_delta, elide, done,
+               instClass(inst.op) == ClassPointer);
 }
 
 void
@@ -1221,47 +1180,18 @@ Machine::completeDeferred(uint64_t ticket, const mem::MemAccess &acc)
         // Resume the issue path where the fetch left off. The decoded
         // instruction may immediately park again on a remote operand
         // (resolved in the next barrier drain round).
-        finishFetch(thread, acc);
+        finishFetch(thread, acc, rec.readyAt);
         return;
     }
-
-    // The load/store completion tail, mirroring do_load/do_store and
-    // the retire tail of execute() exactly (the issue-side work —
-    // pointer check, note_check, instruction counters — already ran
-    // before the park).
-    if (acc.hang) {
-        thread.stallTo(UINT64_MAX);
-        (*hungAccesses_)++;
-        return;
+    // The issue-side work (pointer check, check accounting,
+    // instruction counters) ran before the park; the rest is the
+    // synchronous path's own completion. Nothing aliases the
+    // predecode array at the barrier, so a proof flush runs at once.
+    completeMemOp(thread, rec, acc);
+    if (proofsDirty_) {
+        proofsDirty_ = false;
+        flushPredecode();
     }
-    if (acc.fault != Fault::None) {
-        faultThread(thread, acc.fault);
-        return;
-    }
-    if (rec.kind == DeferredKind::Load) {
-        thread.setReg(rec.rd, acc.data);
-    } else {
-        // Store proof-cover invalidation, mirroring do_store. Nothing
-        // aliases the predecode array at the barrier, so the flush
-        // runs immediately instead of via proofsDirty_.
-        const uint64_t sa = rec.storeAddr;
-        if (sa + rec.size > proofCoverLo_ && sa < proofCoverHi_) {
-            elideProofs_.clear();
-            proofCoverLo_ = UINT64_MAX;
-            proofCoverHi_ = 0;
-            flushPredecode();
-        }
-    }
-    thread.retire();
-    if (config_.elideChecks) {
-        if (rec.elide)
-            (*elideChecksElided_)++;
-        else
-            (*elideChecksExecuted_)++;
-    }
-    if (!advanceIp(thread, 1, rec.elide))
-        return;
-    thread.stallTo(acc.completeCycle);
 }
 
 } // namespace gp::isa

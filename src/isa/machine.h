@@ -170,6 +170,12 @@ class Machine
     uint64_t run(uint64_t max_cycles = 1'000'000);
 
     /**
+     * run() without its cycle-limit warning, for callers that drive
+     * the machine in bounded batches (os::Scheduler).
+     */
+    uint64_t advance(uint64_t max_cycles);
+
+    /**
      * Idle-cycle fast-forward. When no Ready thread can issue at the
      * current cycle, jump straight to the earliest wake-up, capped at
      * @p limit and at the cycles where the budget or quiescence
@@ -190,10 +196,9 @@ class Machine
     /**
      * Deliver the outcome of a deferred cross-shard access (sharded
      * mesh engine, epoch barrier). Finds the parked instruction by
-     * @p ticket, unparks its thread, and runs exactly the completion
-     * tail the synchronous path would have run: register writeback /
-     * store proof-cover invalidation, retire, IP advance, stall to
-     * the access's completion cycle — or the fault/hang handling.
+     * @p ticket, unparks its thread, and finishes it through the
+     * synchronous path's own code: finishFetch() for a fetch,
+     * completeMemOp() for a load or store.
      */
     void completeDeferred(uint64_t ticket, const mem::MemAccess &acc);
 
@@ -303,8 +308,41 @@ class Machine
      * Decode/execute path after the fetch returned: shared by the
      * synchronous issue path and deferred-fetch completion at the
      * epoch barrier (the fetch result is the same either way).
+     * @p issued is the cycle the fetch was issued.
      */
-    void finishFetch(Thread &thread, const mem::MemAccess &f);
+    void finishFetch(Thread &thread, const mem::MemAccess &f,
+                     uint64_t issued);
+
+    /**
+     * The hang and fault outcomes of any port access: a hung thread
+     * stalls forever, a faulting one takes the fault.
+     * @return true when the access delivered.
+     */
+    bool accessDelivered(Thread &thread, const mem::MemAccess &acc);
+
+    /** Thread slot index of @p t (profiler and deferral key). */
+    uint32_t
+    slotOf(const Thread &t) const
+    {
+        return uint32_t(&t - threads_.data());
+    }
+
+    /**
+     * Count one elidable check event (pointer-op check, displacement
+     * LEA, access check, IP-advance LEA) as elided or executed. Only
+     * paid under elideChecks mode, so both counters read 0 in a
+     * baseline run.
+     */
+    void noteCheck(bool elided);
+
+    /**
+     * Retire tail of every instruction that neither faulted nor
+     * transferred control itself: retire, count the IP-advance check,
+     * advance the IP, stall to @p done and close the profiler record
+     * (execute tail Check when @p check_tail, else Compute).
+     */
+    void retireInst(Thread &thread, int64_t inst_delta, bool elide,
+                    uint64_t done, bool check_tail);
 
     /**
      * Execute a decoded instruction whose fetch completed at ready_at.
@@ -376,7 +414,7 @@ class Machine
     /// Direct-mapped predecode-cache size; must be a power of two.
     static constexpr size_t kPredecodeEntries = 4096;
 
-    /// What kind of access a parked thread is waiting on.
+    /// What kind of access an instruction issued (and, parked, waits on).
     enum class DeferredKind : uint8_t
     {
         Fetch,
@@ -385,9 +423,9 @@ class Machine
     };
 
     /**
-     * One in-flight split transaction: everything the completion
-     * tail needs to finish the instruction exactly as the
-     * synchronous path would have (see completeDeferred()).
+     * One issued memory instruction: everything its completion needs
+     * to finish it, now or — parked as a split transaction — at the
+     * epoch barrier (see completeMemOp() and completeDeferred()).
      */
     struct DeferredInst
     {
@@ -395,13 +433,26 @@ class Machine
         uint32_t threadIndex = 0; //!< index into threads_
         DeferredKind kind = DeferredKind::Fetch;
         uint8_t rd = 0;           //!< destination register (loads)
-        unsigned size = 0;        //!< access size (stores)
+        unsigned size = 0;        //!< access size
         uint64_t storeAddr = 0;   //!< effective address (stores)
+        /// Cycle the access went to the port: the fetch's issue
+        /// cycle, or a load/store's ready_at.
+        uint64_t readyAt = 0;
         bool elide = false;       //!< check-elision state at issue
         /// Completion will never arrive (markDeferredOrphans): the
         /// park no longer vetoes the quiescence watchdog.
         bool orphaned = false;
     };
+
+    /**
+     * Finish a load or store once the port has answered, for the
+     * synchronous path and a parked one alike: hang or fault, else
+     * the load writeback or the store's proof-cover invalidation,
+     * the access's profiler timeline, and retireInst() with the
+     * stall to the access's completion cycle.
+     */
+    void completeMemOp(Thread &thread, const DeferredInst &op,
+                       const mem::MemAccess &acc);
 
     MachineConfig config_;
     std::unique_ptr<mem::MemorySystem> ownedMem_;

@@ -2,16 +2,19 @@
 
 namespace gp::mem {
 
-bool
-FastPort::resolve(Word ptr, gp::Access kind, unsigned size,
-                  bool elide_check, MemAccess &acc, uint64_t *paddr)
+MemAccess
+FastPort::access(Word ptr, gp::Access kind, unsigned size, uint64_t now,
+                 Word value, bool elide_check)
 {
+    MemAccess acc;
+    acc.startCycle = now;
+    acc.completeCycle = now;
     // Same pre-issue pointer check as the timed path's timedAccess(),
     // with the same elision contract (verifier proofs).
     if (!elide_check) {
         acc.fault = gp::checkAccess(ptr, kind, size);
         if (acc.fault != Fault::None)
-            return false;
+            return acc;
     }
     // Functional translation with demand allocation — identical
     // mapping behaviour to the timed miss path, including the
@@ -19,60 +22,32 @@ FastPort::resolve(Word ptr, gp::Access kind, unsigned size,
     auto pa = mem_.pageTable().translateAddr(ptr.addr());
     if (!pa) {
         acc.fault = Fault::UnmappedAddress;
-        return false;
+        return acc;
     }
-    *paddr = *pa;
-    return true;
+    // No ECC here (the fast-mode Machine refuses it), so the status
+    // is always Ok.
+    acc.data = mem_.phys().access(kind, *pa, size, value).word;
+    return acc;
 }
 
 MemAccess
 FastPort::portLoad(Word ptr, unsigned size, uint64_t now,
                    bool elide_check)
 {
-    MemAccess acc;
-    acc.startCycle = now;
-    acc.completeCycle = now;
-    uint64_t paddr = 0;
-    if (!resolve(ptr, gp::Access::Load, size, elide_check, acc,
-                 &paddr))
-        return acc;
-    // Full words keep their tag; sub-word loads never expose it.
-    acc.data = size == 8
-                   ? mem_.phys().readWord(paddr)
-                   : Word::fromInt(mem_.phys().readBytes(paddr, size));
-    return acc;
+    return access(ptr, gp::Access::Load, size, now, Word{}, elide_check);
 }
 
 MemAccess
 FastPort::portStore(Word ptr, Word value, unsigned size, uint64_t now,
                     bool elide_check)
 {
-    MemAccess acc;
-    acc.startCycle = now;
-    acc.completeCycle = now;
-    uint64_t paddr = 0;
-    if (!resolve(ptr, gp::Access::Store, size, elide_check, acc,
-                 &paddr))
-        return acc;
-    if (size == 8)
-        mem_.phys().writeWord(paddr, value);
-    else
-        mem_.phys().writeBytes(paddr, size, value.bits());
-    return acc;
+    return access(ptr, gp::Access::Store, size, now, value, elide_check);
 }
 
 MemAccess
 FastPort::portFetch(Word ip, uint64_t now, bool elide_check)
 {
-    MemAccess acc;
-    acc.startCycle = now;
-    acc.completeCycle = now;
-    uint64_t paddr = 0;
-    if (!resolve(ip, gp::Access::InstFetch, 8, elide_check, acc,
-                 &paddr))
-        return acc;
-    acc.data = mem_.phys().readWord(paddr);
-    return acc;
+    return access(ip, gp::Access::InstFetch, 8, now, Word{}, elide_check);
 }
 
 void

@@ -44,10 +44,9 @@ class FastPort : public MemoryPort
     Word portPeek(uint64_t vaddr) override;
 
   private:
-    /** Check + translate common head; returns false after recording
-     * the fault on @p acc. On success *paddr is the physical byte. */
-    bool resolve(Word ptr, gp::Access kind, unsigned size,
-                 bool elide_check, MemAccess &acc, uint64_t *paddr);
+    /** Every access kind: check, translate, tagged-data step. */
+    MemAccess access(Word ptr, gp::Access kind, unsigned size,
+                     uint64_t now, Word value, bool elide_check);
 
     MemorySystem &mem_;
 };

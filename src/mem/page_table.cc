@@ -16,46 +16,30 @@ PageTable::PageTable(uint64_t page_bytes)
 uint64_t
 PageTable::map(uint64_t vpn)
 {
-    blocked_.erase(vpn);
-    auto it = table_.find(vpn);
-    if (it != table_.end())
-        return it->second;
+    Entry &e = table_[vpn];
+    if (e.mapped)
+        return e.pfn;
     // Re-mapping a previously unmapped page restores its old frame so
     // reinstated segments keep their contents (§4.3 relocation).
-    uint64_t pfn;
-    if (auto sus = suspended_.find(vpn); sus != suspended_.end()) {
-        pfn = sus->second;
-        suspended_.erase(sus);
-    } else {
-        pfn = nextFrame_++;
-    }
-    table_.emplace(vpn, pfn);
+    if (e.pfn == Entry::kNoFrame)
+        e.pfn = nextFrame_++;
+    e.mapped = true;
+    mapped_++;
     (*pagesMapped_)++;
-    return pfn;
-}
-
-void
-PageTable::mapTo(uint64_t vpn, uint64_t pfn)
-{
-    blocked_.erase(vpn);
-    table_[vpn] = pfn;
-    // The alias may shadow the memoised frame; evict the slot.
-    memo_[vpn & (kMemoEntries - 1)].vpn = kNoMru;
-    (*pagesMapped_)++;
+    return e.pfn;
 }
 
 bool
 PageTable::unmap(uint64_t vpn)
 {
     (*pagesUnmapped_)++;
-    blocked_.insert(vpn);
     // Drop the memo slot before the translation goes.
-    memo_[vpn & (kMemoEntries - 1)].vpn = kNoMru;
-    auto it = table_.find(vpn);
-    if (it == table_.end())
+    memoSlot(vpn).vpn = kNoMru;
+    Entry &e = table_[vpn]; // an unknown page is still blocked
+    if (!e.mapped)
         return false;
-    suspended_[vpn] = it->second;
-    table_.erase(it);
+    e.mapped = false;
+    mapped_--;
     return true;
 }
 
@@ -63,33 +47,37 @@ std::optional<uint64_t>
 PageTable::translate(uint64_t vpn) const
 {
     auto it = table_.find(vpn);
-    if (it == table_.end())
+    if (it == table_.end() || !it->second.mapped)
         return std::nullopt;
-    return it->second;
+    return it->second.pfn;
 }
 
 std::optional<uint64_t>
 PageTable::translateAddr(uint64_t vaddr)
 {
     const uint64_t page = vpn(vaddr);
-    // Direct-mapped memo: a positive translation can only change via
-    // unmap()/mapTo(), both of which evict the affected slot, so a
-    // match is always the same answer the map lookup would give.
-    MemoEntry &slot = memo_[page & (kMemoEntries - 1)];
+    // A positive translation can only change via unmap(), which
+    // evicts the page's slot, so a match is always the same answer
+    // the map lookup would give.
+    MemoEntry &slot = memoSlot(page);
     memoLookups_++;
     if (slot.vpn == page) {
         memoHits_++;
         return (slot.pfn << pageShift_) | (vaddr & (pageBytes() - 1));
     }
-    auto pfn = translate(page);
-    if (!pfn) {
-        if (!allocateOnTouch_ || blocked_.count(page))
+    uint64_t pfn;
+    if (auto it = table_.find(page); it != table_.end()) {
+        if (!it->second.mapped)
+            return std::nullopt; // revoked: blocked until re-mapped
+        pfn = it->second.pfn;
+    } else {
+        if (!allocateOnTouch_)
             return std::nullopt;
         pfn = map(page);
     }
     slot.vpn = page;
-    slot.pfn = *pfn;
-    return (*pfn << pageShift_) | (vaddr & (pageBytes() - 1));
+    slot.pfn = pfn;
+    return (pfn << pageShift_) | (vaddr & (pageBytes() - 1));
 }
 
 } // namespace gp::mem

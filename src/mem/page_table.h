@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "sim/stats.h"
 
@@ -41,9 +40,6 @@ class PageTable
      */
     uint64_t map(uint64_t vpn);
 
-    /** Map a virtual page to a specific frame (used for aliasing). */
-    void mapTo(uint64_t vpn, uint64_t pfn);
-
     /**
      * Remove a translation. Subsequent accesses fault, which is how a
      * segment's pointers are revoked or relocated en masse (§4.3). The
@@ -65,7 +61,7 @@ class PageTable
     /** Demand-map pages touched through translateAddr(). */
     void setAllocateOnTouch(bool on) { allocateOnTouch_ = on; }
 
-    size_t mappedPages() const { return table_.size(); }
+    size_t mappedPages() const { return mapped_; }
 
     /**
      * translateAddr() calls, and those answered by the memo. Plain
@@ -81,31 +77,53 @@ class PageTable
     /// Sentinel VPN that can never match (addresses are 54-bit).
     static constexpr uint64_t kNoMru = ~uint64_t(0);
 
-    /// Direct-mapped translation-memo size; must be a power of two.
-    /// Sized so that one hot page per hardware thread slot (16) plus
-    /// code pages fits without conflict in the common case.
-    static constexpr size_t kMemoEntries = 64;
+    /// Translation-memo size; must be a power of two. Sized so that
+    /// one hot page per hardware thread slot (16) plus code pages
+    /// fits without conflict in the common case.
+    static constexpr unsigned kMemoBits = 6;
+    static constexpr size_t kMemoEntries = size_t(1) << kMemoBits;
 
     /// One slot of the translateAddr() memo. Purely a host-speed
     /// cache: the timed hit path performs a functional translation
     /// per access, and the working set of pages is tiny. A positive
-    /// translation can only change via unmap()/mapTo(), which evict
-    /// the affected slot, so a memo hit is always identical to the
-    /// map lookup.
+    /// translation can only change via unmap(), which evicts the
+    /// affected slot, so a memo hit is always identical to the map
+    /// lookup.
     struct MemoEntry
     {
         uint64_t vpn = kNoMru;
         uint64_t pfn = 0;
     };
 
+    /**
+     * What the table knows of one page. A mapped page has a frame. An
+     * unmapped (revoked) page is blocked from demand allocation and
+     * keeps its frame, if it had one, for reinstatement on re-map.
+     */
+    struct Entry
+    {
+        static constexpr uint64_t kNoFrame = ~uint64_t(0);
+        uint64_t pfn = kNoFrame;
+        bool mapped = false;
+    };
+
+    /**
+     * The memo slot of a VPN: a multiplicative hash, not the low VPN
+     * bits. Guarded-pointer segments are log2-aligned, so their base
+     * pages share low bits and would all collide in one slot.
+     */
+    MemoEntry &
+    memoSlot(uint64_t vpn)
+    {
+        return memo_[(vpn * 0x9e3779b97f4a7c15ull) >> (64 - kMemoBits)];
+    }
+
     unsigned pageShift_;
     bool allocateOnTouch_ = true;
     uint64_t nextFrame_ = 0;
+    size_t mapped_ = 0;
     MemoEntry memo_[kMemoEntries];
-    std::unordered_map<uint64_t, uint64_t> table_;
-    /// Frames of unmapped pages, restored on re-map (reinstatement).
-    std::unordered_map<uint64_t, uint64_t> suspended_;
-    std::unordered_set<uint64_t> blocked_;
+    std::unordered_map<uint64_t, Entry> table_; //!< by VPN
     uint64_t memoLookups_ = 0;
     uint64_t memoHits_ = 0;
     sim::StatGroup stats_{"page_table"};

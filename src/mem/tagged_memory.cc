@@ -149,19 +149,6 @@ TaggedMemory::readWordChecked(uint64_t addr)
     return CheckedWord{makeWord(bits, tag), status};
 }
 
-uint64_t
-TaggedMemory::readBytes(uint64_t addr, unsigned size) const
-{
-    if (size == 8)
-        return readWord(addr).bits();
-
-    const Word w = readWord(addr);
-    const unsigned shift = (addr & 7) * 8;
-    const uint64_t mask =
-        size == 8 ? ~uint64_t(0) : ((uint64_t(1) << (size * 8)) - 1);
-    return (w.bits() >> shift) & mask;
-}
-
 void
 TaggedMemory::writeBytes(uint64_t addr, unsigned size, uint64_t value)
 {

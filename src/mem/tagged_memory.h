@@ -36,6 +36,7 @@
 #include <memory>
 #include <vector>
 
+#include "gp/ops.h"
 #include "gp/word.h"
 #include "mem/ecc.h"
 
@@ -100,10 +101,32 @@ class TaggedMemory
     CheckedWord readWordChecked(uint64_t addr);
 
     /**
-     * Read size bytes (1/2/4/8, naturally aligned) zero-extended.
-     * Sub-word reads never expose the tag.
+     * The data step of every load, store and fetch once its address
+     * is physical — the same for the timed, mesh and functional
+     * ports, wherever the word lives. Loads and fetches read the
+     * whole word through the ECC path (checked, and scrubbed when
+     * corrected, even for a sub-word load), then a sub-word load
+     * takes its bytes zero-extended and untagged. Stores write the
+     * word or the bytes (writeBytes' tag rule). A store returns
+     * Word{} with status Ok; a Detected word must not be consumed.
      */
-    uint64_t readBytes(uint64_t addr, unsigned size) const;
+    CheckedWord
+    access(Access kind, uint64_t paddr, unsigned size, Word value)
+    {
+        if (kind == Access::Store) {
+            if (size == 8)
+                writeWord(paddr, value);
+            else
+                writeBytes(paddr, size, value.bits());
+            return CheckedWord{};
+        }
+        if (ecc_ == EccMode::None)
+            return CheckedWord{loaded(readWord(paddr), paddr, size),
+                               EccStatus::Ok};
+        CheckedWord cw = readWordChecked(paddr);
+        cw.word = loaded(cw.word, paddr, size);
+        return cw;
+    }
 
     /**
      * Write size bytes (1/2/4/8, naturally aligned). Sub-word writes
@@ -178,6 +201,17 @@ class TaggedMemory
     {
         const uint64_t m = uint64_t(1) << (i & 63);
         map[i >> 6] = on ? map[i >> 6] | m : map[i >> 6] & ~m;
+    }
+
+    /** What a load of size bytes at addr takes from its word w: all
+     * of it, or the bytes zero-extended and untagged. */
+    static Word
+    loaded(Word w, uint64_t addr, unsigned size)
+    {
+        if (size == 8)
+            return w;
+        const uint64_t mask = (uint64_t(1) << (size * 8)) - 1;
+        return Word::fromInt((w.bits() >> ((addr & 7) * 8)) & mask);
     }
 
     static unsigned

@@ -55,9 +55,9 @@ NodeMemory::NodeMemory(unsigned node, Mesh &mesh, GlobalMemory &global,
     localMisses_ = &stats_.counter("local_misses");
     remoteMisses_ = &stats_.counter("remote_misses");
     remoteLatency_ = &stats_.counter("remote_latency");
-    loads_ = &stats_.counter("loads");
-    stores_ = &stats_.counter("stores");
-    fetches_ = &stats_.counter("fetches");
+    completed_[unsigned(Access::Load)] = &stats_.counter("loads");
+    completed_[unsigned(Access::Store)] = &stats_.counter("stores");
+    completed_[unsigned(Access::InstFetch)] = &stats_.counter("fetches");
     accessFaults_ = &stats_.counter("access_faults");
     unmappedFaults_ = &stats_.counter("unmapped_faults");
     staleUnmappedFaults_ = &stats_.counter("stale_unmapped_faults");
@@ -95,47 +95,58 @@ NodeMemory::access(Word ptr, Access kind, unsigned size, uint64_t now,
     // parked in the epoch exchange and resolved at the barrier in
     // canonical order — the issuing thread sees a split transaction.
     if (exchange_ != nullptr && homeNode(ptr.addr()) != node_) {
-        DeferredAccess op;
-        op.ticket = ++nextTicket_;
-        op.node = node_;
-        op.cycle = now;
-        op.ptr = ptr;
-        op.kind = kind;
-        op.size = size;
-        op.value = store_value;
-        exchange_->post(op);
+        const uint64_t ticket = ++nextTicket_;
+        exchange_->post(
+            {ticket, node_, now, ptr, kind, size, store_value});
         mem::MemAccess acc;
         acc.deferred = true;
-        acc.ticket = op.ticket;
+        acc.ticket = ticket;
         acc.startCycle = now;
         acc.completeCycle = now;
         return acc;
     }
-
-    return accessBody(ptr, kind, size, now, store_value);
+    return resolve(ptr, kind, size, now, store_value);
 }
 
 mem::MemAccess
-NodeMemory::resolveDeferred(const DeferredAccess &op)
+NodeMemory::resolve(Word ptr, Access kind, unsigned size, uint64_t now,
+                    Word store_value)
 {
-    mem::MemAccess acc =
-        accessBody(op.ptr, op.kind, op.size, op.cycle, op.value);
-    // The load/store/fetch wrappers skipped their success counters
-    // when the access deferred; account for the real outcome here.
-    if (acc.fault == Fault::None) {
-        switch (op.kind) {
-          case Access::Load:
-            (*loads_)++;
-            break;
-          case Access::Store:
-            (*stores_)++;
-            break;
-          case Access::InstFetch:
-            (*fetches_)++;
-            break;
-        }
-    }
+    mem::MemAccess acc = accessBody(ptr, kind, size, now, store_value);
+    // A hung access carries no fault, so it counts as completed too.
+    if (acc.fault == Fault::None)
+        (*completed_[unsigned(kind)])++;
     return acc;
+}
+
+void
+NodeMemory::legFailed(mem::MemAccess &acc, const Delivery &leg,
+                      bool reliable)
+{
+    acc.completeCycle = leg.cycle;
+    if (leg.unreachable) {
+        // No surviving route to (or back from) the home node: a
+        // fail-stop death or a partitioning link failure, possibly
+        // landing mid-access. The network interface *knows* — with
+        // the protocol on, the full timeout/backoff retry budget was
+        // burned first; raw links learn from the route table at
+        // once. A typed fault either way, never a hang.
+        acc.fault = Fault::NodeUnreachable;
+        unreachableFaults_++;
+        if (!statUnreachableFaults_)
+            statUnreachableFaults_ =
+                &stats_.counter("node_unreachable_faults");
+        (*statUnreachableFaults_)++;
+    } else if (reliable) {
+        // Lost (or, for a request, unparseable) with the protocol on:
+        // a *detected* failure.
+        acc.fault = Fault::MemoryIntegrity;
+        (*nocDeliveryFailures_)++;
+    } else {
+        // Without the protocol nothing will ever answer.
+        acc.hang = true;
+        (*nocHangs_)++;
+    }
 }
 
 mem::MemAccess
@@ -210,38 +221,11 @@ NodeMemory::accessBody(Word ptr, Access kind, unsigned size,
                 prof.accSeg(sim::ProfComp::Noc,
                             leg > retr ? leg - retr : 0);
             }
-            if (rq.unreachable) {
-                // No surviving route to the home node (fail-stop
-                // death or a partitioning link failure). The network
-                // interface *knows* — with the protocol on, the full
-                // timeout/backoff retry budget was burned first; raw
-                // links learn from the route table immediately. A
-                // typed fault either way, never a hang.
-                acc.fault = Fault::NodeUnreachable;
-                acc.completeCycle = rq.cycle;
-                unreachableFaults_++;
-                if (!statUnreachableFaults_)
-                    statUnreachableFaults_ =
-                        &stats_.counter("node_unreachable_faults");
-                (*statUnreachableFaults_)++;
+            if (rq.unreachable || !rq.delivered ||
+                (!reliable && rq.corrupted)) {
+                legFailed(acc, rq, reliable);
                 return acc;
             }
-            if (!rq.delivered || (!reliable && rq.corrupted)) {
-                // The request never reaches (or never parses at)
-                // the home node. With the protocol on this is a
-                // *detected* failure; without it, nothing will ever
-                // answer — the access hangs.
-                acc.completeCycle = rq.cycle;
-                if (reliable) {
-                    acc.fault = Fault::MemoryIntegrity;
-                    (*nocDeliveryFailures_)++;
-                } else {
-                    acc.hang = true;
-                    (*nocHangs_)++;
-                }
-                return acc;
-            }
-
             const uint64_t served =
                 rq.cycle + config_.timing.extMemAccess;
             if (sim::Profiler::armed()) {
@@ -258,29 +242,8 @@ NodeMemory::accessBody(Word ptr, Access kind, unsigned size,
                 prof.accSeg(sim::ProfComp::Noc,
                             leg > retr ? leg - retr : 0);
             }
-            if (rp.unreachable) {
-                // The reply found no surviving route back (the
-                // failure landed mid-access). Same typed error as a
-                // dead home: the requester's end-to-end timeout is
-                // what detects it.
-                acc.fault = Fault::NodeUnreachable;
-                acc.completeCycle = rp.cycle;
-                unreachableFaults_++;
-                if (!statUnreachableFaults_)
-                    statUnreachableFaults_ =
-                        &stats_.counter("node_unreachable_faults");
-                (*statUnreachableFaults_)++;
-                return acc;
-            }
-            if (!rp.delivered) {
-                acc.completeCycle = rp.cycle;
-                if (reliable) {
-                    acc.fault = Fault::MemoryIntegrity;
-                    (*nocDeliveryFailures_)++;
-                } else {
-                    acc.hang = true;
-                    (*nocHangs_)++;
-                }
+            if (rp.unreachable || !rp.delivered) {
+                legFailed(acc, rp, reliable);
                 return acc;
             }
             if (!reliable && rp.corrupted && kind != Access::Store) {
@@ -314,82 +277,34 @@ NodeMemory::accessBody(Word ptr, Access kind, unsigned size,
         (*staleUnmappedFaults_)++;
         return acc;
     }
-    if (kind == Access::Store) {
-        if (size == 8)
-            home_slice.phys.writeWord(*pa, store_value);
-        else
-            home_slice.phys.writeBytes(*pa, size, store_value.bits());
-    } else {
-        if (home_slice.phys.eccMode() != mem::EccMode::None &&
-            size == 8) {
-            const mem::CheckedWord cw =
-                home_slice.phys.readWordChecked(*pa);
-            if (cw.status == mem::EccStatus::Detected) {
-                acc.fault = Fault::MemoryIntegrity;
-                acc.completeCycle = t;
-                (*eccDetected_)++;
-                return acc;
-            }
-            if (cw.status == mem::EccStatus::Corrected)
-                (*eccCorrected_)++;
-            acc.data = cw.word;
-        } else {
-            acc.data =
-                size == 8
-                    ? home_slice.phys.readWord(*pa)
-                    : Word::fromInt(home_slice.phys.readBytes(*pa,
-                                                              size));
-        }
-        if (corrupt_reply) {
-            // One bit of the delivered word flips in flight; bit 64
-            // is the tag — the NoC capability-forgery channel.
-            auto &inj = sim::FaultInjector::instance();
-            const unsigned bit = unsigned(
-                inj.drawBelow(sim::FaultSite::NocCorrupt, 65));
-            const uint64_t bits =
-                bit < 64 ? acc.data.bits() ^ (uint64_t(1) << bit)
-                         : acc.data.bits();
-            const bool tag = bit == 64 ? !acc.data.isPointer()
-                                       : acc.data.isPointer();
-            acc.data = tag ? Word::fromRawPointerBits(bits)
-                           : Word::fromInt(bits);
-            (*nocReplyCorruptions_)++;
-        }
+    const mem::CheckedWord cw =
+        home_slice.phys.access(kind, *pa, size, store_value);
+    if (cw.status == mem::EccStatus::Detected) {
+        acc.fault = Fault::MemoryIntegrity;
+        acc.completeCycle = t;
+        (*eccDetected_)++;
+        return acc;
+    }
+    if (cw.status == mem::EccStatus::Corrected)
+        (*eccCorrected_)++;
+    acc.data = cw.word;
+    if (corrupt_reply) {
+        // One bit of the delivered word flips in flight; bit 64
+        // is the tag — the NoC capability-forgery channel.
+        auto &inj = sim::FaultInjector::instance();
+        const unsigned bit = unsigned(
+            inj.drawBelow(sim::FaultSite::NocCorrupt, 65));
+        const uint64_t bits =
+            bit < 64 ? acc.data.bits() ^ (uint64_t(1) << bit)
+                     : acc.data.bits();
+        const bool tag = bit == 64 ? !acc.data.isPointer()
+                                   : acc.data.isPointer();
+        acc.data = tag ? Word::fromRawPointerBits(bits)
+                       : Word::fromInt(bits);
+        (*nocReplyCorruptions_)++;
     }
 
     acc.completeCycle = t;
-    return acc;
-}
-
-mem::MemAccess
-NodeMemory::load(Word ptr, unsigned size, uint64_t now,
-                 bool elide_check)
-{
-    mem::MemAccess acc =
-        access(ptr, Access::Load, size, now, Word{}, elide_check);
-    if (acc.fault == Fault::None && !acc.deferred)
-        (*loads_)++;
-    return acc;
-}
-
-mem::MemAccess
-NodeMemory::store(Word ptr, Word value, unsigned size, uint64_t now,
-                  bool elide_check)
-{
-    mem::MemAccess acc =
-        access(ptr, Access::Store, size, now, value, elide_check);
-    if (acc.fault == Fault::None && !acc.deferred)
-        (*stores_)++;
-    return acc;
-}
-
-mem::MemAccess
-NodeMemory::fetch(Word ip, uint64_t now, bool elide_check)
-{
-    mem::MemAccess acc =
-        access(ip, Access::InstFetch, 8, now, Word{}, elide_check);
-    if (acc.fault == Fault::None && !acc.deferred)
-        (*fetches_)++;
     return acc;
 }
 

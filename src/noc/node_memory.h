@@ -194,18 +194,29 @@ class NodeMemory : public mem::MemoryPort
     /** Timed load through a guarded pointer (local or remote);
      * elide_check skips the guarded-pointer access check under a
      * verifier proof (translation/NoC behaviour unchanged). */
-    mem::MemAccess load(Word ptr, unsigned size, uint64_t now = 0,
-                        bool elide_check = false);
+    mem::MemAccess
+    load(Word ptr, unsigned size, uint64_t now = 0,
+         bool elide_check = false)
+    {
+        return access(ptr, Access::Load, size, now, Word{}, elide_check);
+    }
 
     /** Timed store through a guarded pointer (local or remote). */
-    mem::MemAccess store(Word ptr, Word value, unsigned size,
-                         uint64_t now = 0, bool elide_check = false);
+    mem::MemAccess
+    store(Word ptr, Word value, unsigned size, uint64_t now = 0,
+          bool elide_check = false)
+    {
+        return access(ptr, Access::Store, size, now, value, elide_check);
+    }
 
     /** Timed instruction fetch (local or remote code!); elide_check
      * skips the per-fetch pointer check under a caller's proof of
      * execute rights and bounds (see MemoryPort::portFetch). */
-    mem::MemAccess fetch(Word ip, uint64_t now = 0,
-                         bool elide_check = false);
+    mem::MemAccess
+    fetch(Word ip, uint64_t now = 0, bool elide_check = false)
+    {
+        return access(ip, Access::InstFetch, 8, now, Word{}, elide_check);
+    }
 
     // MemoryPort interface — a Machine runs against a node directly.
     mem::MemAccess
@@ -265,23 +276,37 @@ class NodeMemory : public mem::MemoryPort
     }
 
     /**
-     * Execute a previously deferred access (epoch barrier only).
-     * Runs the post-check access path at the recorded issue cycle —
-     * the pre-issue pointer check was already consumed at issue time
-     * and is not repeated.
+     * Execute a previously deferred access (epoch barrier only) at
+     * its recorded issue cycle, exactly as the synchronous path does:
+     * the pre-issue pointer check was consumed at issue time and is
+     * not repeated.
      */
-    mem::MemAccess resolveDeferred(const DeferredAccess &op);
+    mem::MemAccess
+    resolveDeferred(const DeferredAccess &op)
+    {
+        return resolve(op.ptr, op.kind, op.size, op.cycle, op.value);
+    }
 
   private:
     mem::MemAccess access(Word ptr, Access kind, unsigned size,
                           uint64_t now, Word store_value,
                           bool elide_check = false);
 
+    /** A checked access, synchronous or deferred: accessBody() and
+     * the per-kind completion count. */
+    mem::MemAccess resolve(Word ptr, Access kind, unsigned size,
+                           uint64_t now, Word store_value);
+
     /** Timed access after the pre-issue check: cache, translation,
-     * NoC legs, functional data — shared by the synchronous path and
-     * resolveDeferred(). */
+     * NoC legs, then the tagged-data step on the home slice. */
     mem::MemAccess accessBody(Word ptr, Access kind, unsigned size,
                               uint64_t now, Word store_value);
+
+    /** End @p acc on a NoC leg that found no route back or forth
+     * (NodeUnreachable) or never arrived (a detected failure with
+     * the link protocol on, else a hang). */
+    void legFailed(mem::MemAccess &acc, const Delivery &leg,
+                   bool reliable);
 
     unsigned node_;
     Mesh &mesh_;
@@ -302,9 +327,7 @@ class NodeMemory : public mem::MemoryPort
     sim::Counter *localMisses_ = nullptr;
     sim::Counter *remoteMisses_ = nullptr;
     sim::Counter *remoteLatency_ = nullptr;
-    sim::Counter *loads_ = nullptr;
-    sim::Counter *stores_ = nullptr;
-    sim::Counter *fetches_ = nullptr;
+    sim::Counter *completed_[3] = {}; //!< loads/stores/fetches by kind
     sim::Counter *accessFaults_ = nullptr;
     sim::Counter *unmappedFaults_ = nullptr;
     sim::Counter *staleUnmappedFaults_ = nullptr;

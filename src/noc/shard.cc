@@ -5,6 +5,7 @@
 
 #include "sim/faultinject.h"
 #include "sim/log.h"
+#include "sim/profile.h"
 
 namespace gp::noc {
 
@@ -277,6 +278,13 @@ ShardedMesh::drainEpoch()
             std::array<uint64_t, kTallyCount> before;
             for (unsigned k = 0; k < kTallyCount; ++k)
                 before[k] = meshTrafficCounters_[k]->value();
+            // The resolution itemises the access's latency into a
+            // fresh profiler timeline, which the completion flushes to
+            // the issuing slot as the synchronous path would.
+            if (sim::Profiler::armed())
+                sim::Profiler::instance().accBegin(
+                    op.kind == Access::InstFetch ? sim::ProfComp::IFetch
+                                                 : sim::ProfComp::DCache);
             const mem::MemAccess acc =
                 nodes_[op.node]->resolveDeferred(op);
             for (unsigned k = 0; k < kTallyCount; ++k)

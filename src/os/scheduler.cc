@@ -80,9 +80,9 @@ Scheduler::runAll(uint64_t max_cycles)
     uint64_t spent = 0;
     while (pending() > 0 && spent < max_cycles) {
         // Advance in small batches: enough to amortize the scan,
-        // small enough to refill slots promptly.
-        for (int i = 0; i < 64 && !kernel_.machine().allDone(); ++i)
-            kernel_.machine().step();
+        // small enough to refill slots promptly. Idle stretches
+        // inside a batch are fast-forwarded.
+        kernel_.machine().advance(64);
         if (kernel_.machine().allDone() && running_.empty() &&
             !queue_.empty()) {
             // All slots idle but jobs queued: dispatch makes progress.

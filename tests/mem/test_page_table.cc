@@ -79,14 +79,6 @@ TEST(PageTable, UnmapBlocksDemandRemap)
     EXPECT_TRUE(pt.translateAddr(0x5123).has_value());
 }
 
-TEST(PageTable, MapToAliasesFrames)
-{
-    PageTable pt(4096);
-    const uint64_t frame = pt.map(1);
-    pt.mapTo(2, frame);
-    EXPECT_EQ(pt.translate(2), frame);
-}
-
 TEST(PageTable, LargePages)
 {
     PageTable pt(1 << 16);
@@ -117,8 +109,8 @@ TEST(PageTable, MemoCountsLookupsAndHits)
     EXPECT_EQ(pt.memoLookups(), 2u);
     EXPECT_EQ(pt.memoHits(), 1u);
 
-    // vpn 65 shares vpn 1's direct-mapped slot: each evicts the other.
-    ASSERT_TRUE(pt.translateAddr(65 * 4096));
+    // vpn 56 hashes to vpn 1's memo slot: each evicts the other.
+    ASSERT_TRUE(pt.translateAddr(56 * 4096));
     ASSERT_TRUE(pt.translateAddr(0x1000));
     EXPECT_EQ(pt.memoLookups(), 4u);
     EXPECT_EQ(pt.memoHits(), 1u);
@@ -130,8 +122,22 @@ TEST(PageTable, MemoCountsLookupsAndHits)
     EXPECT_EQ(pt.memoHits(), 1u);
 
     // translate() bypasses the memo and is not counted.
-    pt.translate(65);
+    pt.translate(56);
     EXPECT_EQ(pt.memoLookups(), 5u);
+}
+
+TEST(PageTable, MemoHoldsSegmentAlignedPages)
+{
+    // Sixteen segment-base pages that agree in their low VPN bits,
+    // as log2-aligned segments do (one code segment per thread at
+    // (t + 1) << 20), translated round-robin: after the first pass
+    // the memo answers every lookup.
+    PageTable pt(4096);
+    for (int pass = 0; pass < 4; ++pass)
+        for (uint64_t t = 0; t < 16; ++t)
+            ASSERT_TRUE(pt.translateAddr(((t + 1) << 8) * 4096 + 8));
+    EXPECT_EQ(pt.memoLookups(), 64u);
+    EXPECT_EQ(pt.memoHits(), 48u);
 }
 
 TEST(PageTable, MemoCountersStayOutOfStatExports)

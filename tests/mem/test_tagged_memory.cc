@@ -15,6 +15,13 @@
 namespace gp::mem {
 namespace {
 
+/** A load of size bytes through the data step, as every port does. */
+uint64_t
+loadBytes(TaggedMemory &m, uint64_t addr, unsigned size)
+{
+    return m.access(Access::Load, addr, size, Word{}).word.bits();
+}
+
 TEST(TaggedMemory, UnwrittenReadsAsUntaggedZero)
 {
     TaggedMemory m;
@@ -55,14 +62,14 @@ TEST(TaggedMemory, SubWordReadExtractsBytes)
 {
     TaggedMemory m;
     m.writeWord(0x10, Word::fromInt(0x8877665544332211ull));
-    EXPECT_EQ(m.readBytes(0x10, 1), 0x11u);
-    EXPECT_EQ(m.readBytes(0x11, 1), 0x22u);
-    EXPECT_EQ(m.readBytes(0x17, 1), 0x88u);
-    EXPECT_EQ(m.readBytes(0x10, 2), 0x2211u);
-    EXPECT_EQ(m.readBytes(0x12, 2), 0x4433u);
-    EXPECT_EQ(m.readBytes(0x10, 4), 0x44332211u);
-    EXPECT_EQ(m.readBytes(0x14, 4), 0x88776655u);
-    EXPECT_EQ(m.readBytes(0x10, 8), 0x8877665544332211ull);
+    EXPECT_EQ(loadBytes(m, 0x10, 1), 0x11u);
+    EXPECT_EQ(loadBytes(m, 0x11, 1), 0x22u);
+    EXPECT_EQ(loadBytes(m, 0x17, 1), 0x88u);
+    EXPECT_EQ(loadBytes(m, 0x10, 2), 0x2211u);
+    EXPECT_EQ(loadBytes(m, 0x12, 2), 0x4433u);
+    EXPECT_EQ(loadBytes(m, 0x10, 4), 0x44332211u);
+    EXPECT_EQ(loadBytes(m, 0x14, 4), 0x88776655u);
+    EXPECT_EQ(loadBytes(m, 0x10, 8), 0x8877665544332211ull);
 }
 
 TEST(TaggedMemory, SubWordWriteMergesBytes)
@@ -109,7 +116,7 @@ TEST(TaggedMemory, SubWordReadNeverExposesTag)
     ASSERT_TRUE(p);
     m.writeWord(0x50, p.value);
     // 4-byte read of a tagged word returns plain bits.
-    const uint64_t lo = m.readBytes(0x50, 4);
+    const uint64_t lo = loadBytes(m, 0x50, 4);
     EXPECT_EQ(lo, p.value.bits() & 0xffffffffu);
 }
 

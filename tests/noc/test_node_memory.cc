@@ -145,5 +145,29 @@ TEST_F(NodeMemoryTest, StatsDistinguishLocalAndRemote)
     EXPECT_EQ(node(0).stats().get("remote_misses"), 1u);
 }
 
+TEST(NodeMemory, SubWordLoadIsEccChecked)
+{
+    // A one-byte load reads its whole word through SECDED, exactly as
+    // on a single node: a flipped payload bit is corrected (and
+    // counted), never handed to the program.
+    Mesh mesh{MeshConfig{}};
+    GlobalMemory global;
+    global.setEccMode(mem::EccMode::Secded);
+    NodeMemory node(0, mesh, global);
+    auto p = makePointer(Perm::ReadWrite, 12, nodeBase(0) + 0x10000);
+    ASSERT_TRUE(p);
+    ASSERT_EQ(node.store(p.value, Word::fromInt(0x11), 8).fault,
+              Fault::None);
+    const auto pa =
+        global.slice(0).pageTable.translateAddr(p.value.addr());
+    ASSERT_TRUE(pa);
+    ASSERT_TRUE(global.slice(0).phys.flipStoredBit(*pa, 0));
+
+    const mem::MemAccess acc = node.load(p.value, 1, 100);
+    EXPECT_EQ(acc.fault, Fault::None);
+    EXPECT_EQ(acc.data.bits(), 0x11u);
+    EXPECT_EQ(node.stats().get("ecc_corrected"), 1u);
+}
+
 } // namespace
 } // namespace gp::noc
