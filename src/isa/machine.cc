@@ -97,7 +97,8 @@ Machine::Machine(const MachineConfig &config)
       ownedMem_(std::make_unique<mem::MemorySystem>(config.mem)),
       port_(ownedMem_.get()),
       threads_(size_t(config.clusters) * config.threadsPerCluster),
-      rrNext_(config.clusters, 0)
+      wakes_(config.clusters),
+      slotWake_(threads_.size(), UINT64_MAX)
 {
     if (config_.clusters == 0 || config_.threadsPerCluster == 0)
         sim::fatal("machine needs at least one cluster and thread slot");
@@ -122,7 +123,8 @@ Machine::Machine(const MachineConfig &config, mem::MemoryPort &port)
     : config_(config),
       port_(&port),
       threads_(size_t(config.clusters) * config.threadsPerCluster),
-      rrNext_(config.clusters, 0)
+      wakes_(config.clusters),
+      slotWake_(threads_.size(), UINT64_MAX)
 {
     if (config_.clusters == 0 || config_.threadsPerCluster == 0)
         sim::fatal("machine needs at least one cluster and thread slot");
@@ -268,6 +270,9 @@ Machine::spawnOnCluster(unsigned cluster, Word entry_ip)
             t.state() == ThreadState::Faulted) {
             t.start(entry_ip, nextThreadId_++);
             (*threadsSpawned_)++;
+            // The caller may still set up the thread through the
+            // returned pointer (registers, a stall) before it runs.
+            wakesStale_ = true;
             return &t;
         }
     }
@@ -275,28 +280,78 @@ Machine::spawnOnCluster(unsigned cluster, Word entry_ip)
 }
 
 bool
-Machine::allDone() const
+Machine::scanDone() const
 {
-    for (const Thread &t : threads_) {
-        // Pending threads (parked on a cross-shard split transaction)
-        // are live: the epoch barrier will resume them.
+    for (const Thread &t : threads_)
         if (t.state() == ThreadState::Ready ||
             t.state() == ThreadState::Pending)
             return false;
-    }
     return true;
+}
+
+void
+Machine::refreshWakes()
+{
+    const unsigned nslots = config_.threadsPerCluster;
+    readyClusters_ = 0;
+    for (unsigned c = 0; c < config_.clusters; ++c) {
+        ClusterWake w;
+        for (unsigned s = c * nslots; s < (c + 1) * nslots; ++s) {
+            const Thread &t = threads_[s];
+            const bool ready = t.state() == ThreadState::Ready;
+            slotWake_[s] = ready ? t.stallUntil() : UINT64_MAX;
+            w.ready += ready;
+            w.wake = std::min(w.wake, slotWake_[s]);
+        }
+        wakes_[c] = w;
+        readyClusters_ += w.ready != 0;
+    }
+    wakesStale_ = false;
 }
 
 void
 Machine::step()
 {
+    // Threads changed from outside (threads(), spawn) since the last
+    // cycle: one flag test when nothing was.
+    if (wakesStale_)
+        refreshWakes();
     // Feed the trace hub the current cycle so layers without direct
     // cycle access (gp pointer ops) can stamp events. One static-load
     // branch when tracing is fully off.
     if (sim::TraceManager::anyEnabled())
         sim::TraceManager::instance().setCycle(cycle_);
-    for (unsigned c = 0; c < config_.clusters; ++c)
-        stepCluster(c);
+    // The round-robin cursor of every cluster advances by one each
+    // cycle, stepped or skipped, from slot 0 at cycle 0. A mask, not
+    // a 64-bit division, for the usual power-of-two slot count.
+    const unsigned nslots = config_.threadsPerCluster;
+    const unsigned start = (nslots & (nslots - 1)) == 0
+                               ? unsigned(cycle_ & (nslots - 1))
+                               : unsigned(cycle_ % nslots);
+    // The profiler attributes every cluster-cycle, so it sees them all.
+    const bool every = sim::Profiler::armed();
+    uint64_t stalled = 0;
+    uint64_t empty = 0;
+    for (unsigned c = 0; c < config_.clusters; ++c) {
+        // Read per cluster: a fault handler on an earlier cluster may
+        // have rebuilt the cache in this very cycle.
+        const ClusterWake &w = wakes_[c];
+        if ((every || w.wake <= cycle_) && stepCluster(c, start) != 0)
+            continue;
+        // Nothing issued: live threads all stalled on memory or trap
+        // latency, or no runnable thread in the cluster.
+        if (w.ready)
+            stalled++;
+        else
+            empty++;
+        if (every)
+            profileIdleCluster(c);
+    }
+    if (stalled + empty != 0) {
+        *idleClusterCycles_ += stalled + empty;
+        *stalledClusterCycles_ += stalled;
+        *emptyClusterCycles_ += empty;
+    }
     cycle_++;
     (*cycles_)++;
     // Tick-scheduled fault sites (resident-memory flips etc.): one
@@ -325,9 +380,9 @@ Machine::checkWatchdog()
     // Quiescence: the window test is the cheap per-cycle gate; the
     // quiescentNow() scan runs only once the window has already been
     // exceeded, so the common case pays two compares.
-    if (config_.watchdogQuiescence != 0 && !allDone() &&
+    if (config_.watchdogQuiescence != 0 &&
         cycle_ - lastIssueCycle_ >= config_.watchdogQuiescence &&
-        quiescentNow())
+        !allDone() && quiescentNow())
         tripWatchdog("quiescence");
 }
 
@@ -368,7 +423,6 @@ void
 Machine::tripWatchdog(const char *why)
 {
     watchdogTripped_ = true;
-    readyMayHaveShrunk_ = true;
     (*watchdogTrips_)++;
     GP_TRACE(Fault, cycle_, 0, "watchdog", "%s cycle=%llu", why,
              static_cast<unsigned long long>(cycle_));
@@ -386,12 +440,15 @@ Machine::tripWatchdog(const char *why)
         GP_TRACE(Fault, cycle_, t.id(), "watchdog-kill",
                  "t%u ip=0x%llx", t.id(),
                  static_cast<unsigned long long>(t.ip().addr()));
+        if (t.state() == ThreadState::Pending)
+            parked_--;
         t.stallTo(0);
         t.takeFault(Fault::WatchdogTimeout, cycle_);
         faultLog_.push_back(t.faultRecord());
         (*faults_)++;
         bumpFaultKind(Fault::WatchdogTimeout);
     }
+    refreshWakes();
     // Dump the flight recorder (no-op unless one is armed).
     sim::TraceManager::instance().unhandledFault();
 }
@@ -435,27 +492,14 @@ Machine::advance(uint64_t max_cycles)
     const uint64_t start = cycle_;
     const uint64_t limit =
         max_cycles > UINT64_MAX - start ? UINT64_MAX : start + max_cycles;
-    // allDone() scans every thread slot, which is wasteful once per
-    // cycle: a running machine only *becomes* done in a cycle where
-    // some thread leaves the Ready state (halt, fault, watchdog — or
-    // anything a software fault handler did while it had control).
-    // Those paths set readyMayHaveShrunk_, so the scan re-runs only
-    // after such a cycle. not-Ready -> Ready transitions can only
-    // keep the machine running and never need a re-check.
-    bool done = allDone();
-    while (!done && cycle_ < limit) {
-        readyMayHaveShrunk_ = false;
-        step();
-        if (readyMayHaveShrunk_)
-            done = allDone();
-        if (done)
-            break;
-        // A watchdog trip at the end of the skip sets the flag again.
-        readyMayHaveShrunk_ = false;
-        skipIdleCycles(limit);
-        if (readyMayHaveShrunk_)
-            done = allDone();
-    }
+    // Jump to the next wake when no cluster can issue, else run one
+    // cycle. A skip charges exactly what its cycles' steps would, so
+    // the order matches a step() loop cycle for cycle. A stale cache
+    // (threads changed from outside) can only send a skippable cycle
+    // to step(), which rebuilds it and charges that cycle exactly.
+    while (cycle_ < limit && !allDone())
+        if (nextWake() <= cycle_ || skipIdleCycles(limit) == 0)
+            step();
     return cycle_ - start;
 }
 
@@ -465,17 +509,14 @@ Machine::skipIdleCycles(uint64_t limit)
     if (sim::Profiler::armed() ||
         (!config_.externalInjectorTick && sim::FaultInjector::armed()))
         return 0;
+    if (wakesStale_)
+        refreshWakes();
     // The earliest cycle any Ready thread can issue. Nothing but an
     // issue changes thread state inside the machine, so every cycle
     // before it is idle on every cluster.
-    uint64_t wake = UINT64_MAX;
-    for (const Thread &t : threads_) {
-        if (t.state() != ThreadState::Ready)
-            continue;
-        if (t.stallUntil() <= cycle_)
-            return 0;
-        wake = std::min(wake, t.stallUntil());
-    }
+    const uint64_t wake = nextWake();
+    if (wake <= cycle_)
+        return 0;
     uint64_t target = std::min(wake, limit);
     const bool watched = (config_.watchdogCycles != 0 ||
                           config_.watchdogQuiescence != 0) &&
@@ -499,15 +540,8 @@ Machine::skipIdleCycles(uint64_t limit)
         return 0;
 
     const uint64_t n = target - cycle_;
-    const unsigned nslots = config_.threadsPerCluster;
-    for (unsigned c = 0; c < config_.clusters; ++c) {
-        bool any_ready = false;
-        for (unsigned s = 0; s < nslots && !any_ready; ++s)
-            any_ready =
-                threads_[c * nslots + s].state() == ThreadState::Ready;
-        *(any_ready ? stalledClusterCycles_ : emptyClusterCycles_) += n;
-        rrNext_[c] = unsigned((rrNext_[c] + n % nslots) % nslots);
-    }
+    *stalledClusterCycles_ += n * readyClusters_;
+    *emptyClusterCycles_ += n * (config_.clusters - readyClusters_);
     *idleClusterCycles_ += n * config_.clusters;
     *cycles_ += n;
     cycle_ = target;
@@ -520,90 +554,93 @@ Machine::skipIdleCycles(uint64_t limit)
     return n;
 }
 
-void
-Machine::stepCluster(unsigned cluster)
+unsigned
+Machine::stepCluster(unsigned cluster, unsigned start)
 {
     // Round-robin over the cluster's thread slots: issue up to
     // issueWidth instructions, each from a distinct ready thread.
     // This is the zero-cost context switch — no protection state is
-    // touched between threads.
+    // touched between threads. The scan reads the slots' cached wakes.
+    // An issue changes only its own thread, so only the issuer's slot
+    // is updated, unless a fault handler ran: it may have changed any
+    // thread, so the whole cache is rebuilt before the scan goes on.
     const unsigned nslots = config_.threadsPerCluster;
     const unsigned base = cluster * nslots;
+    ClusterWake &w = wakes_[cluster];
     unsigned issued = 0;
-    bool any_ready = false; // for idle attribution, tracked in-scan
-    for (unsigned i = 0;
-         i < nslots && issued < config_.issueWidth;
+    for (unsigned i = 0; i < nslots && issued < config_.issueWidth;
          ++i) {
-        // rrNext_ and i are both < nslots, so the wrap is a single
-        // compare/subtract — no integer division on the per-cycle
-        // scheduling path.
-        unsigned slot = rrNext_[cluster] + i;
+        // start and i are both < nslots, so the wrap is a single
+        // compare/subtract — no integer division per slot.
+        unsigned slot = start + i;
         if (slot >= nslots)
             slot -= nslots;
-        Thread &t = threads_[base + slot];
-        if (t.state() != ThreadState::Ready)
+        if (slotWake_[base + slot] > cycle_)
             continue;
-        any_ready = true;
-        if (t.stallUntil() <= cycle_) {
-            // Consecutive issues from different threads are the paper's
-            // zero-cost protection-domain switches — count them.
-            if (lastIssuedId_[cluster] != UINT32_MAX &&
-                lastIssuedId_[cluster] != t.id()) {
-                (*domainSwitches_)++;
-            }
-            lastIssuedId_[cluster] = t.id();
-            issueThread(t);
-            // CPI-stack attribution: the cluster-cycle belongs to its
-            // first issuer (deterministic with issueWidth > 1). After
-            // issueThread so the new instruction's record (and its
-            // protection domain) is already open.
-            if (sim::Profiler::armed() && issued == 0)
-                sim::Profiler::instance().attrIssue(slotOf(t));
-            issued++;
+        Thread &t = threads_[base + slot];
+        // Consecutive issues from different threads are the paper's
+        // zero-cost protection-domain switches — count them.
+        if (lastIssuedId_[cluster] != UINT32_MAX &&
+            lastIssuedId_[cluster] != t.id()) {
+            (*domainSwitches_)++;
+        }
+        lastIssuedId_[cluster] = t.id();
+        issueThread(t);
+        // CPI-stack attribution: the cluster-cycle belongs to its
+        // first issuer (deterministic with issueWidth > 1). After
+        // issueThread so the new instruction's record (and its
+        // protection domain) is already open.
+        if (sim::Profiler::armed() && issued == 0)
+            sim::Profiler::instance().attrIssue(slotOf(t));
+        issued++;
+        if (wakesStale_) {
+            refreshWakes();
+        } else if (t.state() == ThreadState::Ready) {
+            slotWake_[base + slot] = t.stallUntil();
+        } else {
+            slotWake_[base + slot] = UINT64_MAX; // halted or parked
+            if (--w.ready == 0)
+                readyClusters_--;
         }
     }
-    rrNext_[cluster] = rrNext_[cluster] + 1 == nslots
-                           ? 0
-                           : rrNext_[cluster] + 1;
-    if (issued == 0) {
-        (*idleClusterCycles_)++;
-        // Attribute the idle cycle: live threads all stalled on memory
-        // or trap latency, vs. no runnable thread in the cluster.
-        // any_ready was collected by the (complete, since nothing
-        // issued) scan above — no second pass over the slots.
-        if (any_ready)
-            (*stalledClusterCycles_)++;
-        else
-            (*emptyClusterCycles_)++;
-        if (sim::Profiler::armed()) {
-            if (!any_ready) {
-                sim::Profiler::instance().attrEmpty();
-            } else {
-                // Charge the stall to whatever the *blocking* thread
-                // (the Ready thread that will unstall first) is
-                // waiting on. Armed-only second pass over the slots.
-                unsigned blocking = base;
-                uint64_t soonest = UINT64_MAX;
-                for (unsigned s = 0; s < nslots; ++s) {
-                    const Thread &bt = threads_[base + s];
-                    if (bt.state() == ThreadState::Ready &&
-                        bt.stallUntil() < soonest) {
-                        soonest = bt.stallUntil();
-                        blocking = base + s;
-                    }
-                }
-                sim::Profiler::instance().attrStall(blocking, cycle_);
-            }
+    // The cluster's wake from its slots (one cache line for up to
+    // eight slots).
+    uint64_t wake = UINT64_MAX;
+    for (unsigned s = base; s < base + nslots; ++s)
+        wake = std::min(wake, slotWake_[s]);
+    w.wake = wake;
+    return issued;
+}
+
+void
+Machine::profileIdleCluster(unsigned cluster)
+{
+    if (wakes_[cluster].ready == 0) {
+        sim::Profiler::instance().attrEmpty();
+        return;
+    }
+    // Charge the stall to whatever the *blocking* thread (the Ready
+    // thread that will unstall first) is waiting on.
+    const unsigned nslots = config_.threadsPerCluster;
+    const unsigned base = cluster * nslots;
+    unsigned blocking = base;
+    uint64_t soonest = UINT64_MAX;
+    for (unsigned s = base; s < base + nslots; ++s) {
+        const Thread &bt = threads_[s];
+        if (bt.state() == ThreadState::Ready && bt.stallUntil() < soonest) {
+            soonest = bt.stallUntil();
+            blocking = s;
         }
     }
+    sim::Profiler::instance().attrStall(blocking, cycle_);
 }
 
 void
 Machine::faultThread(Thread &thread, Fault f)
 {
-    // The thread leaves Ready here, and the software handler below
-    // may halt/fault arbitrary threads while it has control.
-    readyMayHaveShrunk_ = true;
+    // The software handler below may halt, resume or restall any
+    // thread while it has control: the wake cache must be rebuilt.
+    wakesStale_ = true;
     thread.takeFault(f, cycle_);
     faultLog_.push_back(thread.faultRecord());
     (*faults_)++;
@@ -679,8 +716,8 @@ Machine::issueThread(Thread &thread)
         // Cross-shard fetch under the epoch engine: park the thread
         // until the barrier delivers the fetched word, then resume
         // through finishFetch() as if the fetch had just returned.
-        readyMayHaveShrunk_ = true;
         thread.park();
+        parked_++;
         deferred_.push_back({f.ticket, slotOf(thread),
                              DeferredKind::Fetch, 0, 0, 0, cycle_});
         return;
@@ -919,8 +956,8 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
         if (acc.deferred) {
             // Cross-shard access: the pointer check already ran above;
             // park until the barrier delivers data and timing.
-            readyMayHaveShrunk_ = true;
             thread.park();
+            parked_++;
             op.ticket = acc.ticket;
             deferred_.push_back(op);
             return;
@@ -934,7 +971,6 @@ Machine::execute(Thread &thread, const Inst &inst, uint64_t ready_at,
       case Op::HALT:
         thread.retire();
         thread.halt();
-        readyMayHaveShrunk_ = true;
         if (sim::Profiler::armed())
             sim::Profiler::instance().endInst(
                 slotOf(thread), ready_at + 1, sim::ProfComp::Compute);
@@ -1174,6 +1210,7 @@ Machine::completeDeferred(uint64_t ticket, const mem::MemAccess &acc)
         return;
     }
     thread.unpark();
+    parked_--;
     lastIssueCycle_ = cycle_; // a completion is progress, too
 
     if (rec.kind == DeferredKind::Fetch) {
@@ -1181,17 +1218,20 @@ Machine::completeDeferred(uint64_t ticket, const mem::MemAccess &acc)
         // instruction may immediately park again on a remote operand
         // (resolved in the next barrier drain round).
         finishFetch(thread, acc, rec.readyAt);
-        return;
+    } else {
+        // The issue-side work (pointer check, check accounting,
+        // instruction counters) ran before the park; the rest is the
+        // synchronous path's own completion. Nothing aliases the
+        // predecode array at the barrier, so a proof flush runs at
+        // once.
+        completeMemOp(thread, rec, acc);
+        if (proofsDirty_) {
+            proofsDirty_ = false;
+            flushPredecode();
+        }
     }
-    // The issue-side work (pointer check, check accounting,
-    // instruction counters) ran before the park; the rest is the
-    // synchronous path's own completion. Nothing aliases the
-    // predecode array at the barrier, so a proof flush runs at once.
-    completeMemOp(thread, rec, acc);
-    if (proofsDirty_) {
-        proofsDirty_ = false;
-        flushPredecode();
-    }
+    // The thread woke up outside any cluster's issue scan.
+    refreshWakes();
 }
 
 } // namespace gp::isa

@@ -19,6 +19,7 @@
 #ifndef GP_ISA_MACHINE_H
 #define GP_ISA_MACHINE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -155,10 +156,23 @@ class Machine
      */
     Thread *spawn(Word entry_ip);
 
-    /** Start a thread on a specific cluster. */
+    /**
+     * Start a thread on a specific cluster. The returned thread may be
+     * set up (registers, a stall) until the next cycle runs; change it
+     * later only through threads(), so the wake cache sees it.
+     */
     Thread *spawnOnCluster(unsigned cluster, Word entry_ip);
 
-    /** Advance the machine by one cycle. */
+    /**
+     * Advance the machine by one cycle: step the clusters whose cached
+     * wake has come (every cluster while the profiler is armed),
+     * charge the others one idle cluster-cycle each, stalled or empty,
+     * then the per-cycle tail (cycle count, injector and profiler
+     * ticks, watchdog). The only code that executes a cycle: run(),
+     * advance() and the sharded engine all come through here. A plain
+     * step() loop skips no cycle, so it is the reference run() is
+     * tested against.
+     */
     void step();
 
     /**
@@ -171,17 +185,22 @@ class Machine
 
     /**
      * run() without its cycle-limit warning, for callers that drive
-     * the machine in bounded batches (os::Scheduler).
+     * the machine in bounded batches (os::Scheduler). The event-driven
+     * loop: step() a cycle while some cluster's cached wake has come,
+     * else skipIdleCycles() to the next wake.
      */
     uint64_t advance(uint64_t max_cycles);
 
     /**
      * Idle-cycle fast-forward. When no Ready thread can issue at the
-     * current cycle, jump straight to the earliest wake-up, capped at
-     * @p limit and at the cycles where the budget or quiescence
-     * watchdog would trip. Charges in bulk exactly what the skipped
-     * step() calls would have: cycles, idle cluster-cycles (stalled or
-     * empty per cluster) and the round-robin cursors; then runs the
+     * current cycle, jump straight to the earliest wake-up (the
+     * minimum of the per-cluster wake cache, rebuilt first if threads
+     * were changed from outside), capped at @p limit and at the
+     * cycles where the budget or quiescence watchdog would trip.
+     * Charges in bulk exactly what the skipped step() calls would
+     * have: cycles and idle cluster-cycles, stalled or empty per
+     * cluster (no thread changes state while nothing issues, so each
+     * cluster's class holds for the whole stretch); then runs the
      * watchdog check the last skipped cycle would have run. Skips
      * nothing while the profiler is armed or while this machine ticks
      * an armed fault injector itself, since both observe every cycle.
@@ -190,8 +209,20 @@ class Machine
      */
     uint64_t skipIdleCycles(uint64_t limit);
 
-    /** @return true when no thread is Ready or Pending. */
-    bool allDone() const;
+    /**
+     * @return true when no thread is Ready or Pending. Reads two
+     * cached counts (clusters with a Ready thread, parked threads),
+     * not the slots, unless threads were changed from outside since
+     * the last cycle. Inline: advance() tests it every cycle.
+     */
+    bool
+    allDone() const
+    {
+        // Pending threads (parked on a cross-shard split transaction)
+        // are live: the epoch barrier will resume them.
+        return wakesStale_ ? scanDone()
+                           : parked_ == 0 && readyClusters_ == 0;
+    }
 
     /**
      * Deliver the outcome of a deferred cross-shard access (sharded
@@ -245,8 +276,17 @@ class Machine
     /** The memory port instructions execute against (always valid). */
     mem::MemoryPort &port() { return *port_; }
 
-    /** All thread slots, cluster-major. */
-    std::vector<Thread> &threads() { return threads_; }
+    /**
+     * All thread slots, cluster-major. The mutable form marks the wake
+     * cache stale: the caller may change any thread, and the next
+     * cycle (or skip, or allDone()) reads the slots again.
+     */
+    std::vector<Thread> &
+    threads()
+    {
+        wakesStale_ = true;
+        return threads_;
+    }
     const std::vector<Thread> &threads() const { return threads_; }
 
     /** Every fault any thread has taken, in order. */
@@ -298,8 +338,37 @@ class Machine
     /** Create and cache the stat handles (shared by both ctors). */
     void initStats();
 
-    /** Issue for one cluster in the current cycle. */
-    void stepCluster(unsigned cluster);
+    /**
+     * Issue for one cluster in the current cycle, round-robin from
+     * slot @p start over the cached slot wakes, then recompute the
+     * cluster's wake from its slots. step() charges the cluster-cycle
+     * when nothing issued, which happens only while the profiler is
+     * armed (a cluster whose wake has come always issues).
+     * @return the instructions issued.
+     */
+    unsigned stepCluster(unsigned cluster, unsigned start);
+
+    /**
+     * Profiler attribution of a cluster-cycle that issued nothing: to
+     * the blocking thread's wait, or empty.
+     */
+    void profileIdleCluster(unsigned cluster);
+
+    /** Rebuild every cluster's wake and Ready count from the slots. */
+    void refreshWakes();
+
+    /** allDone() from the slots, for a stale wake cache. */
+    bool scanDone() const;
+
+    /** The earliest cached wake over all clusters. */
+    uint64_t
+    nextWake() const
+    {
+        uint64_t wake = UINT64_MAX;
+        for (const ClusterWake &w : wakes_)
+            wake = std::min(wake, w.wake);
+        return wake;
+    }
 
     /** Fetch, decode, and execute one instruction for a thread. */
     void issueThread(Thread &thread);
@@ -461,14 +530,46 @@ class Machine
     std::unique_ptr<mem::FastPort> fastPort_;
     mem::MemoryPort *port_;
     std::vector<Thread> threads_; //!< [cluster][slot] flattened
-    std::vector<unsigned> rrNext_; //!< per-cluster round-robin cursor
     uint64_t cycle_ = 0;
-    uint32_t nextThreadId_ = 0;
+    /// Clusters with a Ready thread, and Pending threads (parked on a
+    /// split transaction, neither Ready nor done): all allDone()
+    /// reads. They sit next to cycle_ on purpose: the sharded mesh
+    /// sweeps allDone() over every node each epoch from one host
+    /// thread, and must not pull in the wake entries that the node's
+    /// own shard thread rewrites every cycle.
+    uint32_t readyClusters_ = 0;
+    uint32_t parked_ = 0;
+    /// Some thread may have changed outside an issue (threads(),
+    /// spawn, a software fault handler): rebuild before trusting the
+    /// wake cache.
+    bool wakesStale_ = false;
+
+    /**
+     * Wake cache, per cluster and per slot. Outside stepCluster() it
+     * equals what a scan of the threads would give, so a cluster
+     * whose wake lies in the future can be charged an idle cycle
+     * without being scanned, and a stepped cluster scans these words
+     * instead of its Thread objects. A cluster changes only through
+     * its own issues (stepCluster() updates the issuer's slot) or
+     * through events that may touch any thread. tripWatchdog() and
+     * completeDeferred() rebuild the whole cache at once. The mutable
+     * threads(), spawnOnCluster() and faultThread() (whose software
+     * handler may change any thread) mark it stale instead: the
+     * stepping cluster rebuilds at once after a handler, and step(),
+     * skipIdleCycles() and allDone() never read a stale cache.
+     */
+    struct ClusterWake
+    {
+        /// Earliest cycle any Ready thread in the cluster can issue
+        /// (UINT64_MAX when none can without outside help).
+        uint64_t wake = UINT64_MAX;
+        uint32_t ready = 0; //!< Ready threads in the cluster
+    };
+    std::vector<ClusterWake> wakes_;
+    /// Per slot: the thread's stallUntil when Ready, else UINT64_MAX.
+    std::vector<uint64_t> slotWake_;
     bool watchdogTripped_ = false;
-    /// Set by any path in which a thread may leave the Ready state
-    /// (halt, fault, watchdog, software fault handler); run() only
-    /// re-scans allDone() after a cycle that set it.
-    bool readyMayHaveShrunk_ = true;
+    uint32_t nextThreadId_ = 0;
     uint64_t lastIssueCycle_ = 0; //!< for the quiescence watchdog
     std::vector<FaultRecord> faultLog_;
     FaultHandler faultHandler_;

@@ -53,18 +53,9 @@ PageTable::translate(uint64_t vpn) const
 }
 
 std::optional<uint64_t>
-PageTable::translateAddr(uint64_t vaddr)
+PageTable::translateMiss(uint64_t vaddr, MemoEntry &slot)
 {
     const uint64_t page = vpn(vaddr);
-    // A positive translation can only change via unmap(), which
-    // evicts the page's slot, so a match is always the same answer
-    // the map lookup would give.
-    MemoEntry &slot = memoSlot(page);
-    memoLookups_++;
-    if (slot.vpn == page) {
-        memoHits_++;
-        return (slot.pfn << pageShift_) | (vaddr & (pageBytes() - 1));
-    }
     uint64_t pfn;
     if (auto it = table_.find(page); it != table_.end()) {
         if (!it->second.mapped)

@@ -54,9 +54,25 @@ class PageTable
 
     /**
      * Translate a full virtual byte address to a physical byte address,
-     * mapping the page on demand when allocate_on_touch is set.
+     * mapping the page on demand when allocate_on_touch is set. The
+     * memo hit is inline: every fast-port fetch and load and every
+     * timed cache hit translates.
      */
-    std::optional<uint64_t> translateAddr(uint64_t vaddr);
+    std::optional<uint64_t>
+    translateAddr(uint64_t vaddr)
+    {
+        const uint64_t page = vpn(vaddr);
+        // A positive translation can only change via unmap(), which
+        // evicts the page's slot, so a match is always the same
+        // answer the map lookup would give.
+        MemoEntry &slot = memoSlot(page);
+        memoLookups_++;
+        if (slot.vpn == page) {
+            memoHits_++;
+            return (slot.pfn << pageShift_) | (vaddr & (pageBytes() - 1));
+        }
+        return translateMiss(vaddr, slot);
+    }
 
     /** Demand-map pages touched through translateAddr(). */
     void setAllocateOnTouch(bool on) { allocateOnTouch_ = on; }
@@ -74,6 +90,11 @@ class PageTable
     sim::StatGroup &stats() { return stats_; }
 
   private:
+    struct MemoEntry;
+
+    /** translateAddr() past a memo miss: the map, then the memo. */
+    std::optional<uint64_t> translateMiss(uint64_t vaddr, MemoEntry &slot);
+
     /// Sentinel VPN that can never match (addresses are 54-bit).
     static constexpr uint64_t kNoMru = ~uint64_t(0);
 

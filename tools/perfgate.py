@@ -16,14 +16,19 @@ The P1 report contains two kinds of tables (see bench_p1_simspeed.cc):
     (bench/BENCH_PERF.json), which makes the change reviewable.
 
   - Tables whose title contains "host-dependent": wall times and
-    derived rates. Machines differ, so derived-rate cells are
-    WARN-ONLY: cells that regress by more than --warn-band percent
-    (default 25) are printed as warnings, but never fail the gate.
-    Wall-time cells get a SOFT RATIO GATE: a run slower than the
-    blessed baseline warns above 1.3x and fails above 2x — loose
-    enough to absorb machine-to-machine variance, tight enough to
-    catch an accidental order-of-magnitude interpreter regression.
-    The committed baseline documents the reference machine's numbers.
+    derived rates. bench_p1 runs every arm 5 times in-process; each
+    row's "wall ms" is the median of those repetitions, the rates
+    derive from it, and the trailing "min ms" and "spread %" columns
+    show how far single shots strayed.
+    Machines differ, so derived-rate cells are WARN-ONLY: cells that
+    regress by more than --warn-band percent (default 25) are printed
+    as warnings, but never fail the gate. The median wall time gets a
+    SOFT RATIO GATE against the blessed baseline's wall ms: slower
+    warns above 1.3x and fails above 2x — loose enough to absorb
+    machine-to-machine variance, tight enough to catch an accidental
+    order-of-magnitude interpreter regression. Columns the baseline
+    lacks (min ms, spread %) are reported, never gated. The committed
+    baseline documents the reference machine's numbers.
 
 The report also carries two in-run contracts that need no baseline:
 the fig5-elide row (elide-on cycles <= elide-off, saved > 0) and the
@@ -131,14 +136,26 @@ def check_elide_contract(new_tables):
 
 def gate_host(title, base, new, warn_band):
     """Host-speed gate. Derived-rate cells are warn-only (band in
-    percent). Wall-time cells are a soft ratio gate: new/base > 1.3
-    warns, > 2.0 fails — slow enough growth to ride out machine
-    differences, but a 2x wall-time blowout on the reference workload
-    means the interpreter itself regressed. Returns
+    percent). Wall-time cells (the median of the repetitions) are a
+    soft ratio gate: new/base > 1.3 warns, > 2.0 fails — slow enough
+    growth to ride out machine differences, but a 2x wall-time
+    blowout on the reference workload means the interpreter itself
+    regressed. Only columns the baseline has are gated. Returns
     (warnings, failures)."""
     header = base.get("header", [])
+    new_header = new.get("header", [])
     base_rows, new_rows = rows_by_key(base), rows_by_key(new)
     warned = failed = 0
+
+    def spread_note(row):
+        """ ' [min X ms, spread Y%]' when the new report has them."""
+        cells = {h: row[i] for i, h in enumerate(new_header)
+                 if i < len(row)}
+        if "min ms" not in cells or "spread %" not in cells:
+            return ""
+        return (f" [min {cells['min ms'].strip()} ms, spread "
+                f"{cells['spread %'].strip()}%]")
+
     for key in sorted(set(base_rows) & set(new_rows)):
         b_row, n_row = base_rows[key], new_rows[key]
         for c in range(1, min(len(b_row), len(n_row))):
@@ -152,12 +169,14 @@ def gate_host(title, base, new, warn_band):
                 if ratio > 2.0:
                     print(f"FAIL {title} :: {key} :: {col} "
                           f"{b_row[c].strip()} -> {n_row[c].strip()} "
-                          f"({ratio:.2f}x > 2x blessed wall time)")
+                          f"({ratio:.2f}x > 2x blessed wall time)"
+                          f"{spread_note(n_row)}")
                     failed += 1
                 elif ratio > 1.3:
                     print(f"WARN {title} :: {key} :: {col} "
                           f"{b_row[c].strip()} -> {n_row[c].strip()} "
-                          f"({ratio:.2f}x > 1.3x blessed wall time)")
+                          f"({ratio:.2f}x > 1.3x blessed wall time)"
+                          f"{spread_note(n_row)}")
                     warned += 1
                 continue
             rel = 100.0 * (n - b) / b
